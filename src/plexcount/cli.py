@@ -12,8 +12,9 @@ Subcommands:
 * ``verify``: run the reference-data and oracle cross-checks.
 
 Exit status is 0 on success, 1 when ``verify`` finds a mismatch, and 2 for
-usage errors.  The p ceiling (default 12) is a guardrail against accidental
-huge runs, not an algorithmic limit; raise it with ``--limit``.
+usage errors.  The p ceiling (default 12, applied to ``table --max-n`` too)
+is a guardrail against accidental huge runs, not an algorithmic limit; raise
+it with ``--limit``.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     _require(parser, args.max_n >= 1, f"max-n must be >= 1, got {args.max_n}")
     _require(parser, args.max_p <= args.limit,
              f"max-p={args.max_p} exceeds the ceiling {args.limit} "
+             f"(use --limit to raise it)")
+    _require(parser, args.max_n <= args.limit,
+             f"max-n={args.max_n} exceeds the ceiling {args.limit} "
              f"(use --limit to raise it)")
     header = ["p"] + [f"n={n}" for n in range(1, args.max_n + 1)]
     rows = [[str(p)] + [str(plex_count(p, n)) for n in range(1, args.max_n + 1)]

@@ -19,6 +19,13 @@ class IntPolynomial:
 
     Stored as a tuple of coefficients indexed by exponent, with no trailing
     zeros; the zero polynomial is the empty tuple.  Immutable and hashable.
+
+    Multiply and power use Kronecker substitution: each operand is packed
+    into one big integer with every coefficient in a fixed-width byte slot,
+    so a product is a single big-integer multiply (or power) followed by
+    unpacking.  Slot widths come from a proven bound on the result's largest
+    coefficient, which holds only for nonnegative coefficients; both
+    operations raise ValueError on a negative one.
     """
 
     __slots__ = ("coeffs",)
@@ -61,28 +68,28 @@ class IntPolynomial:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        _require_nonnegative(a)
+        _require_nonnegative(b)
         if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for k, d in enumerate(b):
-                    out[i + k] += c * d
-        return IntPolynomial(out)
+        # every product coefficient is a sum of at most min(len) terms,
+        # each at most max(a) * max(b)
+        bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
+        width = (bits + 7) // 8
+        return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
     def __pow__(self, exponent: int) -> "IntPolynomial":
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
-        result = IntPolynomial((1,))
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        a = self.coeffs
+        _require_nonnegative(a)
+        if exponent == 0:
+            return IntPolynomial((1,))
+        if not a:
+            return IntPolynomial()
+        # with nonnegative coefficients none exceeds the value at x = 1
+        width = ((sum(a) ** exponent).bit_length() + 7) // 8
+        return _unpack(_pack(a, width) ** exponent, width, (len(a) - 1) * exponent + 1)
 
     def scale(self, factor: int) -> "IntPolynomial":
         return IntPolynomial(c * factor for c in self.coeffs)
@@ -125,6 +132,24 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
+def _require_nonnegative(coeffs: tuple[int, ...]) -> None:
+    if coeffs and min(coeffs) < 0:
+        raise ValueError(
+            f"packed multiply needs nonnegative coefficients, got {min(coeffs)}")
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width)."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _unpack(packed: int, width: int, length: int) -> IntPolynomial:
+    """Inverse of _pack for ``length`` slots; exact when no slot overflowed."""
+    data = packed.to_bytes(width * length, "little")
+    return IntPolynomial([int.from_bytes(data[i:i + width], "little")
+                          for i in range(0, len(data), width)])
+
+
 ONE = IntPolynomial((1,))
 ONE_PLUS_X = IntPolynomial((1, 1))
 
@@ -138,16 +163,17 @@ def substitute(index: CycleIndex, figure: IntPolynomial) -> IntPolynomial:
     figure polynomial that division is exact; a remainder is an internal
     error and raises ArithmeticError.
     """
-    accumulated = IntPolynomial()
-    stretched: dict[int, IntPolynomial] = {}
+    total: list[int] = []
     for cycle_type, weight in index.terms.items():
         term = ONE
         for size, mult in cycle_type.items():
-            if size not in stretched:
-                stretched[size] = figure.stretch(size)
-            term = term * stretched[size] ** mult
-        accumulated = accumulated + term.scale(weight)
-    return accumulated.exact_div(index.group_order)
+            # powering before spreading keeps the packed operand short
+            term = term * (figure ** mult).stretch(size)
+        if len(total) < len(term.coeffs):
+            total.extend([0] * (len(term.coeffs) - len(total)))
+        for exponent, c in enumerate(term.coeffs):
+            total[exponent] += weight * c
+    return IntPolynomial(total).exact_div(index.group_order)
 
 
 def plex_polynomial(p: int, n: int) -> IntPolynomial:

@@ -128,10 +128,15 @@ def burnside_polynomial(p: int, r: int) -> IntPolynomial:
     total = IntPolynomial()
     for base in partitions_of(p):
         induced = induce_on_subsets(representative_of(base), r)
-        term = IntPolynomial((1,))
+        # multiply by (1 + x**length) as a plain shift-and-add, so this
+        # oracle shares no code with IntPolynomial's packed multiply
+        term = [1]
         for length in _cycle_lengths(induced):
-            term = term * IntPolynomial((1,) + (0,) * (length - 1) + (1,))
-        total = total + term.scale(permutation_count(base))
+            shifted = term + [0] * length
+            for i, c in enumerate(term):
+                shifted[i + length] += c
+            term = shifted
+        total = total + IntPolynomial(term).scale(permutation_count(base))
     return total.exact_div(factorial(p))
 
 

@@ -15,6 +15,7 @@ from plexcount.oracle import (burnside_polynomial, cycle_type_of,
                               exhaustive_plex_count, induce_on_subsets,
                               representative_of)
 from plexcount.partitions import Partition, partitions_of
+from plexcount.verify import BURNSIDE_MAX_N, BURNSIDE_MAX_P
 
 GRAPH_COLUMN = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 CORRECTED_8_4 = Partition({1: 2, 4: 2, 6: 2, 12: 4})
@@ -71,8 +72,8 @@ def criterion_3_induced_oracle():
 
 
 def criterion_4_burnside_oracle():
-    for p in range(2, 10):
-        for n in range(1, 4):
+    for p in range(2, BURNSIDE_MAX_P + 1):
+        for n in range(1, BURNSIDE_MAX_N + 1):
             if n + 1 > p:
                 continue
             if burnside_polynomial(p, n + 1) != plex_polynomial(p, n):

@@ -121,6 +121,17 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_table_max_n_over_ceiling_exits_2_without_computing(capsys, monkeypatch):
+    def fail(p, n):
+        raise AssertionError(f"plex_count({p}, {n}) called past the guardrail")
+
+    monkeypatch.setattr("plexcount.cli.plex_count", fail)
+    assert main(["table", "--max-p", "2", "--max-n", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max-n=13 exceeds the ceiling 12 (use --limit to raise it)" in captured.err
+
+
 def test_limit_flag_raises_ceiling(capsys):
     code, out = run(capsys, "count", "--p", "13", "--n", "1", "--limit", "13")
     assert code == 0

@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plexcount.counting import (ONE, ONE_PLUS_X, IntPolynomial, plex_count,
                                 plex_polynomial, substitute)
@@ -57,6 +59,79 @@ def test_polynomial_pow():
     assert (ONE_PLUS_X ** 10).coeffs == tuple(comb(10, k) for k in range(11))
     with pytest.raises(ValueError):
         ONE_PLUS_X ** -1
+
+
+def _convolve(a, b):
+    """Schoolbook product of coefficient sequences: the reference for __mul__."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for k, d in enumerate(b):
+            out[i + k] += c * d
+    return IntPolynomial(out)
+
+
+def _power(a, exponent):
+    result = (1,)
+    for _ in range(exponent):
+        result = _convolve(result, a).coeffs
+    return IntPolynomial(result)
+
+
+# zeros, small values and values up to a few hundred bits, mixed within one
+# polynomial; all-ones values fill their bit width, which tests the slot bound
+COEFFS = st.integers(1, 400).flatmap(lambda bits: st.lists(
+    st.one_of(st.just(0), st.integers(0, 9), st.just(2 ** bits - 1),
+              st.integers(0, 2 ** bits - 1)),
+    max_size=12))
+
+
+@given(COEFFS, COEFFS)
+def test_polynomial_mul_matches_convolution(a, b):
+    assert IntPolynomial(a) * IntPolynomial(b) == _convolve(a, b)
+
+
+@given(COEFFS, st.integers(0, 6))
+@example([], 0)
+@example([0, 2 ** 200, 0, 7], 0)
+def test_polynomial_pow_matches_repeated_convolution(a, exponent):
+    assert IntPolynomial(a) ** exponent == _power(a, exponent)
+
+
+@given(COEFFS, COEFFS, st.data())
+def test_polynomial_mul_and_pow_reject_negative_coefficients(a, b, data):
+    position = data.draw(st.integers(0, len(a)))
+    negative = IntPolynomial(a[:position] + [data.draw(st.integers(-2 ** 300, -1))]
+                             + a[position:])
+    with pytest.raises(ValueError):
+        negative * IntPolynomial(b)
+    with pytest.raises(ValueError):
+        IntPolynomial(b) * negative
+    with pytest.raises(ValueError):
+        negative ** data.draw(st.integers(0, 4))
+
+
+def _naive_substitute(index, figure):
+    total = []
+    for cycle_type, weight in index.terms.items():
+        term = (1,)
+        for size, mult in cycle_type.items():
+            spread = [0] * (len(figure) * size)
+            spread[::size] = figure
+            for _ in range(mult):
+                term = _convolve(term, spread).coeffs
+        total += [0] * (len(term) - len(total))
+        for exponent, c in enumerate(term):
+            total[exponent] += weight * c
+    assert all(c % index.group_order == 0 for c in total)
+    return IntPolynomial(c // index.group_order for c in total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p))),
+       st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=4))
+def test_substitute_matches_term_by_term_reference(pr, figure):
+    index = cycle_index_subset_action(*pr)
+    assert substitute(index, IntPolynomial(figure)) == _naive_substitute(index, figure)
 
 
 def test_polynomial_scale_and_stretch():

@@ -15,9 +15,8 @@ from .cycle_index import (CycleIndex, CycleType, cycle_index_subset_action,
                           cycle_index_symmetric, fixed_subset_count,
                           induced_cycle_type, subset_action_terms)
 from .golden import GoldenData, fixture_path, load_golden
-from .oracle import (SubsetIndex, burnside_polynomial, cycle_type_of,
-                     exhaustive_plex_count, exhaustive_plex_histogram,
-                     induce_on_subsets, representative_of, subset_index)
+from .oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_count,
+                     exhaustive_plex_histogram, induce_on_subsets)
 from .partitions import Partition, partitions_of, permutation_count, power_cycle_type
 from .verify import CheckResult, run_scope
 
@@ -32,7 +31,6 @@ __all__ = [
     "ONE",
     "ONE_PLUS_X",
     "Partition",
-    "SubsetIndex",
     "burnside_polynomial",
     "cycle_index_subset_action",
     "cycle_index_symmetric",
@@ -49,9 +47,7 @@ __all__ = [
     "plex_count",
     "plex_polynomial",
     "power_cycle_type",
-    "representative_of",
     "run_scope",
     "subset_action_terms",
-    "subset_index",
     "substitute",
 ]

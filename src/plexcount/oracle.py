@@ -10,21 +10,17 @@ the CLI ``verify`` command want.
 An explicit permutation is a plain tuple ``image`` of length N with
 ``image[i]`` the image of point i; it must be a bijection on 0..N-1.
 
-The exhaustive orbit counter vectorises its bitmask sweep with numpy and
-honours the PLEXCOUNT_THREADS environment variable (or an explicit
-``threads`` argument) by splitting the mask range across a thread pool.
-The result is independent of the thread count.
+The exhaustive orbit counter walks the orbits of S_p on bitmasks through the
+two mask maps induced by the generators (0 1 ... p-1) and (0 1), in pure
+Python on one thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from array import array
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial
-
-import numpy as np
 
 from .counting import IntPolynomial
 from .partitions import Partition, partitions_of, permutation_count
@@ -143,59 +139,28 @@ def burnside_polynomial(p: int, r: int) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # Exhaustive orbit counting over all bitmasks (ground truth at tiny sizes).
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("PLEXCOUNT_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"PLEXCOUNT_THREADS must be an integer, got {env!r}") from None
+def _mask_images(mapping: ExplicitPermutation) -> array:
+    """Image of every mask under the bit permutation ``mapping``, indexed by mask.
+
+    Built by doubling: once the masks below ``1 << bit`` are mapped, the
+    masks that add that bit map to the same images plus ``1 << mapping[bit]``.
+    """
+    images = array("I", [0])
+    for target in mapping:
+        images.extend([image | 1 << target for image in images])
+    return images
 
 
-def _mask_tables(mapping: ExplicitPermutation, width: int):
-    """Split-table lookup that sends a width-bit mask through a bit permutation."""
-    low_bits = width // 2
-    low_mask = np.uint32((1 << low_bits) - 1)
-    table_low = np.zeros(1 << low_bits, dtype=np.uint32)
-    table_high = np.zeros(1 << (width - low_bits), dtype=np.uint32)
-    for value in range(len(table_low)):
-        out = 0
-        for bit in range(low_bits):
-            if value >> bit & 1:
-                out |= 1 << mapping[bit]
-        table_low[value] = out
-    for value in range(len(table_high)):
-        out = 0
-        for bit in range(width - low_bits):
-            if value >> bit & 1:
-                out |= 1 << mapping[bit + low_bits]
-        table_high[value] = out
-    return table_low, table_high, low_bits, low_mask
-
-
-def _canonical_histogram(width: int, tables, lo: int, hi: int) -> list[int]:
-    """Simplex-count histogram of the canonical orbit representatives in [lo, hi)."""
-    masks = np.arange(lo, hi, dtype=np.uint32)
-    canonical = masks.copy()
-    for table_low, table_high, low_bits, low_mask in tables:
-        images = table_low[masks & low_mask] | table_high[masks >> low_bits]
-        np.minimum(canonical, images, out=canonical)
-    histogram = [0] * (width + 1)
-    for mask in masks[canonical == masks]:
-        histogram[int(mask).bit_count()] += 1
-    return histogram
-
-
-def exhaustive_plex_histogram(p: int, n: int, threads: int | None = None) -> list[int]:
+def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
     """Orbit counts of all simplex sets, split by number of n-simplexes.
 
-    Every subset of the (n+1)-subsets is treated as a bitmask; a mask is an
-    orbit representative iff it equals the minimum of its images under all
-    p! induced permutations.  The p <= 6 and C(p, n+1) <= 20 caps keep the
-    state space at most 2^20 masks and are enforced, not advisory.
+    Every subset of the (n+1)-subsets is treated as a bitmask.  S_p is
+    generated by the p-cycle (0 1 ... p-1) and the transposition (0 1), so
+    the orbits of S_p on masks are the connected components of the two mask
+    maps those generators induce.  Masks are swept in increasing order and a
+    walk from each unseen one marks its whole orbit, which is counted once
+    under its number of set bits.  The p <= 6 and C(p, n+1) <= 20 caps keep
+    the state space at most 2^20 masks and are enforced, not advisory.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
@@ -208,22 +173,26 @@ def exhaustive_plex_histogram(p: int, n: int, threads: int | None = None) -> lis
                          f"got C({p},{r}) = {width} subsets")
     if width == 0:
         return [1]  # no simplexes possible; only the empty plex
-    identity = tuple(range(p))
-    tables = [_mask_tables(induce_on_subsets(perm, r), width)
-              for perm in permutations(range(p)) if perm != identity]
-    total_masks = 1 << width
-    workers = min(_thread_count(threads), total_masks)
-    bounds = [total_masks * i // workers for i in range(workers + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(workers)]
-    if workers == 1:
-        partials = [_canonical_histogram(width, tables, 0, total_masks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(
-                lambda span: _canonical_histogram(width, tables, *span), ranges))
-    return [sum(part[k] for part in partials) for k in range(width + 1)]
+    generators = (tuple(range(1, p)) + (0,), (1, 0) + tuple(range(2, p)))
+    maps = [_mask_images(induce_on_subsets(perm, r)) for perm in generators]
+    seen = bytearray(1 << width)
+    histogram = [0] * (width + 1)
+    for start in range(1 << width):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        histogram[start.bit_count()] += 1
+        stack = [start]
+        while stack:
+            mask = stack.pop()
+            for images in maps:
+                image = images[mask]
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+    return histogram
 
 
-def exhaustive_plex_count(p: int, n: int, threads: int | None = None) -> int:
-    """Number of n-plexes on p points by exhaustive canonical-form minimisation."""
-    return sum(exhaustive_plex_histogram(p, n, threads=threads))
+def exhaustive_plex_count(p: int, n: int) -> int:
+    """Number of n-plexes on p points by exhaustive orbit walking."""
+    return sum(exhaustive_plex_histogram(p, n))

@@ -19,7 +19,7 @@ label every term with its source partition.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cycle_index import CycleIndex
 from .partitions import Partition
@@ -62,15 +62,9 @@ def monomial_latex(monomial: Partition, var: str = "a") -> str:
     return " ".join(pieces)
 
 
-def _term_plain(monomial: Partition, weight: int, var: str) -> str:
-    body = monomial_plain(monomial, var)
-    if weight == 1:
-        return body
-    return f"{weight} {body}" if body != "1" else str(weight)
-
-
-def _term_latex(monomial: Partition, weight: int, var: str) -> str:
-    body = monomial_latex(monomial, var)
+def _term(monomial: Partition, weight: int, var: str,
+          monomial_text: Callable[[Partition, str], str]) -> str:
+    body = monomial_text(monomial, var)
     if weight == 1:
         return body
     return f"{weight} {body}" if body != "1" else str(weight)
@@ -80,19 +74,19 @@ def render_plain(index: CycleIndex, var: str = "a") -> str:
     lines = [f"1/{index.group_order} * ("]
     for position, (monomial, weight) in enumerate(ordered_terms(index)):
         prefix = "    " if position == 0 else "  + "
-        lines.append(prefix + _term_plain(monomial, weight, var))
+        lines.append(prefix + _term(monomial, weight, var, monomial_plain))
     lines.append(")")
     return "\n".join(lines)
 
 
 def render_latex(index: CycleIndex, var: str = "a") -> str:
-    terms = " + ".join(_term_latex(monomial, weight, var)
+    terms = " + ".join(_term(monomial, weight, var, monomial_latex)
                        for monomial, weight in ordered_terms(index))
     return f"\\frac{{1}}{{{index.group_order}}}\\left({terms}\\right)"
 
 
 def render_plain_unmerged(terms: UnmergedTerms, group_order: int, var: str = "a") -> str:
-    rows = [(_term_plain(induced, weight, var), str(base))
+    rows = [(_term(induced, weight, var, monomial_plain), str(base))
             for base, induced, weight in terms]
     width = max(len(text) for text, _ in rows)
     lines = [f"1/{group_order} * ("]
@@ -106,7 +100,7 @@ def render_plain_unmerged(terms: UnmergedTerms, group_order: int, var: str = "a"
 def render_latex_unmerged(terms: UnmergedTerms, group_order: int, var: str = "a") -> str:
     lines = [f"\\frac{{1}}{{{group_order}}}\\bigl("]
     for position, (base, induced, weight) in enumerate(terms):
-        text = _term_latex(induced, weight, var)
+        text = _term(induced, weight, var, monomial_latex)
         joiner = "" if position == 0 else "+ "
         lines.append(f"  {joiner}{text} % from {base}")
     lines.append("\\bigr)")

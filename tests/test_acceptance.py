@@ -12,15 +12,14 @@ from plexcount.counting import ONE, plex_count, plex_polynomial, substitute
 from plexcount.cycle_index import cycle_index_subset_action, induced_cycle_type
 from plexcount.golden import load_golden
 from plexcount.oracle import (burnside_polynomial, cycle_type_of,
-                              exhaustive_plex_count, induce_on_subsets,
+                              exhaustive_plex_histogram, induce_on_subsets,
                               representative_of)
 from plexcount.partitions import Partition, partitions_of
-from plexcount.verify import BURNSIDE_MAX_N, BURNSIDE_MAX_P
+from plexcount.verify import (BURNSIDE_MAX_N, BURNSIDE_MAX_P, EXHAUSTIVE_CASES,
+                              INDUCED_MAX_P)
 
 GRAPH_COLUMN = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 CORRECTED_8_4 = Partition({1: 2, 4: 2, 6: 2, 12: 4})
-EXHAUSTIVE_CASES = ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (5, 2), (4, 3),
-                    (5, 3), (6, 2))
 
 
 def _report(number: int, label: str, passed: bool, detail: str = "") -> bool:
@@ -61,7 +60,7 @@ def criterion_2_published_formulas():
 
 
 def criterion_3_induced_oracle():
-    for p in range(1, 8):
+    for p in range(1, INDUCED_MAX_P + 1):
         for base in partitions_of(p):
             perm = representative_of(base)
             for r in range(1, p + 1):
@@ -82,9 +81,10 @@ def criterion_4_burnside_oracle():
 
 
 def criterion_5_exhaustive_ground_truth():
-    for p, n in EXHAUSTIVE_CASES:
-        brute = exhaustive_plex_count(p, n)
-        derived = plex_count(p, n)
+    # (6, 2), at 2^20 states, is the largest case the oracle allows
+    for p, n in EXHAUSTIVE_CASES + ((6, 2),):
+        brute = exhaustive_plex_histogram(p, n)
+        derived = list(plex_polynomial(p, n).coeffs)
         if brute != derived:
             return False, f"p={p} n={n}: exhaustive {brute}, computed {derived}"
     return True, ""

@@ -1,6 +1,10 @@
 """Command-line interface behaviour and exit codes."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from plexcount.cli import main
 from plexcount.cycle_index import cycle_index_subset_action, cycle_index_symmetric
@@ -174,3 +178,16 @@ def test_output_deterministic(capsys):
         _, first = run(capsys, *argv)
         _, second = run(capsys, *argv)
         assert first == second
+
+
+def test_import_loads_only_the_standard_library():
+    # a fresh interpreter, so modules that other tests imported do not count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys; before = set(sys.modules); import plexcount, plexcount.cli; "
+             "print(sorted({name.partition('.')[0] for name in sys.modules} "
+             "- before - sys.stdlib_module_names - {'plexcount'}))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

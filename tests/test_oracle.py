@@ -11,6 +11,7 @@ from plexcount.oracle import (burnside_polynomial, cycle_type_of,
                               exhaustive_plex_count, exhaustive_plex_histogram,
                               induce_on_subsets, representative_of, subset_index)
 from plexcount.partitions import Partition, partitions_of
+from plexcount.verify import EXHAUSTIVE_CASES
 
 
 def compose(outer, inner):
@@ -127,7 +128,8 @@ def test_exhaustive_counts():
 
 
 def test_exhaustive_histograms_match_coefficients():
-    for p, n in [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3)]:
+    # at p = 2 the two generators of S_p coincide
+    for p, n in EXHAUSTIVE_CASES + ((1, 1), (2, 1)):
         histogram = exhaustive_plex_histogram(p, n)
         assert histogram == list(plex_polynomial(p, n).coeffs)
         assert sum(histogram) == plex_count(p, n)
@@ -146,17 +148,3 @@ def test_exhaustive_guards():
         exhaustive_plex_count(0, 1)
     with pytest.raises(ValueError):
         exhaustive_plex_count(4, 0)
-
-
-def test_exhaustive_thread_count_is_immaterial():
-    reference = exhaustive_plex_histogram(5, 2, threads=1)
-    for threads in (2, 3, 7, 64):
-        assert exhaustive_plex_histogram(5, 2, threads=threads) == reference
-
-
-def test_exhaustive_reads_thread_env(monkeypatch):
-    monkeypatch.setenv("PLEXCOUNT_THREADS", "3")
-    assert exhaustive_plex_count(4, 2) == 5
-    monkeypatch.setenv("PLEXCOUNT_THREADS", "banana")
-    with pytest.raises(ValueError):
-        exhaustive_plex_count(4, 2)

@@ -72,11 +72,12 @@ def fixed_subset_count(cycle_type: Partition, r: int) -> int:
     """
     if not 0 <= r <= cycle_type.ambient:
         raise ValueError(f"need 0 <= r <= {cycle_type.ambient}, got r={r}")
+    available = dict(cycle_type)
     total = 0
     for sub in partitions_of(r):
         ways = 1
-        for size, needed in sub.items():
-            ways *= comb(cycle_type.multiplicity(size), needed)
+        for size, needed in sub:
+            ways *= comb(available.get(size, 0), needed)
             if not ways:
                 break
         total += ways
@@ -133,7 +134,7 @@ def induced_cycle_type(base: Partition, r: int) -> CycleType:
     return Partition(mult, ambient=points)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cycle_index_symmetric(p: int) -> CycleIndex:
     """Cycle index of S_p acting on p points."""
     if p < 1:
@@ -142,7 +143,7 @@ def cycle_index_symmetric(p: int) -> CycleIndex:
     return CycleIndex(terms, factorial(p), p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, CycleType, int], ...]:
     """Unmerged cycle-index terms of S_p acting on r-subsets.
 
@@ -156,7 +157,7 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, CycleType, int
                  for j in partitions_of(p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cycle_index_subset_action(p: int, r: int) -> CycleIndex:
     """Cycle index of S_p acting on the r-element subsets of p points.
 

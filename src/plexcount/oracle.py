@@ -55,7 +55,7 @@ class SubsetIndex:
         return len(self.subsets)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def subset_index(p: int, r: int) -> SubsetIndex:
     return SubsetIndex(p, r)
 

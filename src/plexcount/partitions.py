@@ -1,6 +1,6 @@
 """Integer partitions in multiplicity form.
 
-A partition of p is stored sparsely as a map from part size to multiplicity.
+A partition of p is the sorted tuple of its (part size, multiplicity) pairs.
 The same data describes the cycle type of a permutation (part sizes are cycle
 lengths), so this module also carries the two cycle-type computations the
 rest of the package is built on: counting the permutations with a given cycle
@@ -15,76 +15,74 @@ from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping
 
 
-class Partition:
-    """A partition of ``ambient``, as a read-only {part size: multiplicity} map.
+class Partition(tuple):
+    """A partition of ``ambient``: a tuple of (part size, multiplicity) pairs.
 
-    Zero multiplicities are never stored.  Instances are immutable by
-    convention and hashable, so they can key term maps directly.
+    The pairs are sorted by part size with zero multiplicities dropped, so equal
+    partitions are equal tuples and can key term maps directly.  As a tuple, a
+    Partition also equals the plain tuple of its pairs, is falsy when empty,
+    orders like a tuple, and its ``len`` is the number of distinct part sizes.
     """
 
-    __slots__ = ("_items", "_parts", "ambient")
+    __slots__ = ()
 
-    def __init__(self, parts: Mapping[int, int] | Iterable[tuple[int, int]] = (),
-                 ambient: int | None = None):
+    def __new__(cls, parts: Mapping[int, int] | Iterable[tuple[int, int]] = (),
+                ambient: int | None = None) -> "Partition":
         mapping = dict(parts)
         items = []
+        total = 0
         for size in sorted(mapping):
             mult = mapping[size]
+            if type(size) is not int or type(mult) is not int:
+                raise ValueError(f"parts must be int, got {size!r}: {mult!r}")
             if size < 1:
                 raise ValueError(f"part size must be >= 1, got {size}")
             if mult < 0:
                 raise ValueError(f"multiplicity must be >= 0, got {mult}")
             if mult:
                 items.append((size, mult))
-        self._items: tuple[tuple[int, int], ...] = tuple(items)
-        self._parts = dict(items)
-        total = sum(size * mult for size, mult in items)
-        if ambient is None:
-            ambient = total
-        elif ambient != total:
+                total += size * mult
+        if ambient is not None and ambient != total:
             raise ValueError(f"parts sum to {total}, not the stated {ambient}")
-        self.ambient: int = ambient
+        return super().__new__(cls, items)
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "Partition":
         """Build from an explicit list of parts, e.g. [3, 2, 2, 1]."""
         return cls(Counter(sizes))
 
-    def multiplicity(self, size: int) -> int:
-        return self._parts.get(size, 0)
+    @property
+    def ambient(self) -> int:
+        """The number partitioned: the sum of all parts."""
+        return sum(size * mult for size, mult in self)
 
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """(size, multiplicity) pairs, ascending by part size."""
-        return self._items
+    def multiplicity(self, size: int) -> int:
+        return dict(self).get(size, 0)
+
+    def items(self) -> "Partition":
+        """(size, multiplicity) pairs, ascending by part size: the partition itself."""
+        return self
 
     def sizes(self) -> tuple[int, ...]:
         """Distinct part sizes, ascending."""
-        return tuple(size for size, _ in self._items)
+        return tuple(size for size, _ in self)
 
     def to_sizes(self) -> list[int]:
         """Expanded part list, largest first, e.g. [3, 2, 2, 1]."""
         out: list[int] = []
-        for size, mult in reversed(self._items):
+        for size, mult in reversed(self):
             out.extend([size] * mult)
         return out
 
     def num_parts(self) -> int:
         """Total number of parts (counting multiplicity)."""
-        return sum(mult for _, mult in self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._items == other._items and self.ambient == other.ambient
-
-    def __hash__(self) -> int:
-        return hash(self._items)
+        return sum(mult for _, mult in self)
 
     def __repr__(self) -> str:
-        return f"Partition({dict(self._items)!r})"
+        return f"Partition({dict(self)!r})"
 
     def __str__(self) -> str:
-        if not self._items:
+        if not self:
             return "0"
         return "+".join(str(size) for size in self.to_sizes())
 
@@ -99,7 +97,7 @@ def _descending_part_lists(remaining: int, cap: int) -> Iterator[tuple[int, ...]
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def partitions_of(p: int) -> tuple[Partition, ...]:
     """All integer partitions of p, in decreasing-lexicographic part order.
 
@@ -119,7 +117,7 @@ def permutation_count(cycle_type: Partition) -> int:
     p! / prod_k (k**m_k * m_k!), and the division is always exact.
     """
     denominator = 1
-    for size, mult in cycle_type.items():
+    for size, mult in cycle_type:
         denominator *= size**mult * factorial(mult)
     return factorial(cycle_type.ambient) // denominator
 
@@ -131,8 +129,8 @@ def power_cycle_type(cycle_type: Partition, exponent: int) -> Partition:
     """
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
-    powered: Counter[int] = Counter()
-    for size, mult in cycle_type.items():
+    powered: dict[int, int] = {}
+    for size, mult in cycle_type:
         g = gcd(exponent, size)
-        powered[size // g] += g * mult
-    return Partition(powered, ambient=cycle_type.ambient)
+        powered[size // g] = powered.get(size // g, 0) + g * mult
+    return Partition(powered)

@@ -29,7 +29,8 @@ UnmergedTerms = Iterable[tuple[Partition, Partition, int]]
 
 def term_sort_key(monomial: Partition) -> tuple[int, ...]:
     """Sort key putting high powers of small cycle sizes first."""
-    return tuple(-monomial.multiplicity(size) for size in range(1, monomial.ambient + 1))
+    mults = dict(monomial)
+    return tuple(-mults.get(size, 0) for size in range(1, monomial.ambient + 1))
 
 
 def ordered_terms(index: CycleIndex) -> list[tuple[Partition, int]]:

@@ -74,12 +74,9 @@ def _check_one_formula(p: int, r: int) -> CheckResult:
                                "fixture discrepancy entry does not match the formula")
         notes.append((monomial, weight))
 
-    mismatched = sorted(
-        (monomial for monomial in expected
-         if computed.get(monomial) != expected[monomial]),
-        key=lambda m: m.items())
-    surplus = sorted((monomial for monomial in computed if monomial not in expected),
-                     key=lambda m: m.items())
+    mismatched = sorted(monomial for monomial in expected
+                        if computed.get(monomial) != expected[monomial])
+    surplus = sorted(monomial for monomial in computed if monomial not in expected)
 
     if mismatched:
         monomial = mismatched[0]

@@ -9,6 +9,7 @@ import pytest
 from plexcount.cycle_index import (CycleIndex, cycle_index_subset_action,
                                    cycle_index_symmetric, fixed_subset_count,
                                    induced_cycle_type, subset_action_terms)
+from plexcount.oracle import subset_index
 from plexcount.partitions import Partition, partitions_of
 
 # merged Z(S_6^(3)), frozen from the published nine-term display
@@ -170,3 +171,9 @@ def test_cycle_index_constructor_validation():
         CycleIndex({term: 6}, group_order=6, ambient_points=4)  # degree
     with pytest.raises(ValueError):
         CycleIndex({term: 0}, group_order=0, ambient_points=3)  # empty weight
+
+
+def test_caches_are_bounded():
+    for cached in (partitions_of, cycle_index_symmetric, subset_action_terms,
+                   cycle_index_subset_action, subset_index):
+        assert cached.cache_info().maxsize is not None

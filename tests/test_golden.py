@@ -4,8 +4,11 @@ import json
 from collections import Counter
 from math import comb, factorial
 
+import pytest
+
 from plexcount.counting import plex_count
 from plexcount.cycle_index import cycle_index_subset_action, subset_action_terms
+from plexcount import golden
 from plexcount.golden import fixture_path, load_golden
 from plexcount.oracle import cycle_type_of, induce_on_subsets, representative_of
 from plexcount.partitions import Partition
@@ -102,3 +105,19 @@ def test_unmerged_duplicates_come_from_distinct_partitions():
         found = {base for base, got_induced, got_weight in terms
                  if got_induced == induced and got_weight == weight}
         assert found == sources
+
+
+def test_loader_rejects_non_integer_exponents(monkeypatch, tmp_path):
+    raw = json.loads(fixture_path().read_text(encoding="utf-8"))
+    monomial = raw["formulas"][0]["terms"][0]["monomial"]
+    size = next(iter(monomial))
+    monomial[size] = float(monomial[size])
+    corrupted = tmp_path / "golden.json"
+    corrupted.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setattr(golden, "fixture_path", lambda: corrupted)
+    load_golden.cache_clear()
+    try:
+        with pytest.raises(ValueError):
+            load_golden()
+    finally:
+        load_golden.cache_clear()

@@ -1,5 +1,7 @@
 """Partition generation, permutation counting, and power transforms."""
 
+import copy
+import pickle
 from collections import Counter
 from itertools import permutations
 from math import factorial
@@ -68,6 +70,28 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition({2: 2}, ambient=5)
     assert Partition({2: 2}, ambient=4).ambient == 4
+
+
+def test_partition_rejects_non_int_parts():
+    for parts in ({2: 1.5, 1: 1}, {2.0: 1}, {True: 2}, {2: True}, {"2": 1}):
+        with pytest.raises(ValueError):
+            Partition(parts)
+    with pytest.raises(ValueError):
+        Partition([(1, 2), (3, 1.0)])
+
+
+def test_partition_is_its_tuple_of_pairs():
+    j = Partition({3: 1, 2: 2, 1: 1})
+    assert isinstance(j, tuple)
+    assert tuple(j) == ((1, 1), (2, 2), (3, 1))
+    assert Partition(j) == j
+    for copied in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j)):
+        assert type(copied) is Partition
+        assert copied == j
+    built = (Partition([(3, 1), (2, 2), (1, 1)]), Partition.from_sizes([3, 2, 2, 1]),
+             power_cycle_type(j, 1))
+    assert all(other == j for other in built)
+    assert {hash(other) for other in built} == {hash(j)}
 
 
 def test_partition_hashable():

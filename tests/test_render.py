@@ -119,6 +119,16 @@ def test_parse_structured_rejects_bad_documents():
         parse_structured("\n".join(good.splitlines()[:-1]))
 
 
+def test_parse_structured_rejects_non_integer_exponents():
+    header, *terms = render_structured(cycle_index_subset_action(3, 1), 3, 1).splitlines()
+    record = json.loads(terms[0])
+    assert record["monomial"] == {"1": 3}
+    for bad in (3.0, True, "3"):
+        record["monomial"] = {"1": bad}
+        with pytest.raises(ValueError):
+            parse_structured("\n".join([header, json.dumps(record), *terms[1:]]))
+
+
 def test_rendering_deterministic():
     for render in (render_plain, render_latex):
         first = render(cycle_index_subset_action(7, 3))

@@ -11,12 +11,11 @@ oracles and bundled reference data.
 
 from .counting import (ONE, ONE_PLUS_X, IntPolynomial, plex_count, plex_polynomial,
                        substitute)
-from .cycle_index import (CycleIndex, CycleType, cycle_index_subset_action,
-                          cycle_index_symmetric, fixed_subset_count,
+from .cycle_index import (CycleIndex, cycle_index_subset_action, fixed_subset_count,
                           induced_cycle_type, subset_action_terms)
 from .golden import GoldenData, fixture_path, load_golden
-from .oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_count,
-                     exhaustive_plex_histogram, induce_on_subsets)
+from .oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
+                     induce_on_subsets)
 from .partitions import Partition, partitions_of, permutation_count, power_cycle_type
 from .verify import CheckResult, run_scope
 
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult",
     "CycleIndex",
-    "CycleType",
     "GoldenData",
     "IntPolynomial",
     "ONE",
@@ -33,9 +31,7 @@ __all__ = [
     "Partition",
     "burnside_polynomial",
     "cycle_index_subset_action",
-    "cycle_index_symmetric",
     "cycle_type_of",
-    "exhaustive_plex_count",
     "exhaustive_plex_histogram",
     "fixed_subset_count",
     "fixture_path",

@@ -166,7 +166,7 @@ def substitute(index: CycleIndex, figure: IntPolynomial) -> IntPolynomial:
     total: list[int] = []
     for cycle_type, weight in index.terms.items():
         term = ONE
-        for size, mult in cycle_type.items():
+        for size, mult in cycle_type:
             # powering before spreading keeps the packed operand short
             term = term * (figure ** mult).stretch(size)
         if len(total) < len(term.coeffs):

@@ -1,12 +1,12 @@
-"""Cycle indices of the symmetric group and of its action on r-subsets.
+"""Cycle index of the symmetric group acting on r-subsets.
 
-Z(S_p) needs one term per partition of p, weighted by the number of
-permutations with that cycle type.  For the induced action on r-element
-subsets the cycle type of the induced permutation is computed from the base
-cycle type alone, with no explicit permutations: a subset is fixed exactly
-when it is a union of whole cycles, which gives the number of 1-cycles of
-every power of the induced permutation, and the full induced cycle type
-follows by inversion over the divisors of the base permutation's order.
+Each term is a cycle type (a Partition of the points acted on) weighted by
+the number of permutations that give it; r = 1 is Z(S_p) itself.  The cycle
+type induced on r-element subsets is computed from the base cycle type
+alone, with no explicit permutations: a subset is fixed exactly when it is
+a union of whole cycles, which gives the number of 1-cycles of every power
+of the induced permutation, and the full induced cycle type follows by
+inversion over the divisors of the base permutation's order.
 
 Everything here is exact integer arithmetic.  Any division that comes out
 inexact, or any negative intermediate multiplicity, raises ArithmeticError
@@ -20,9 +20,6 @@ from math import comb, factorial, lcm
 
 from .partitions import Partition, partitions_of, permutation_count, power_cycle_type
 
-# A cycle type is just a partition of the number of points moved.
-CycleType = Partition
-
 
 class CycleIndex:
     """Exact cycle index: integer-weighted cycle-type monomials over 1/group_order.
@@ -35,7 +32,7 @@ class CycleIndex:
 
     __slots__ = ("terms", "group_order", "ambient_points")
 
-    def __init__(self, terms: dict[CycleType, int], group_order: int, ambient_points: int):
+    def __init__(self, terms: dict[Partition, int], group_order: int, ambient_points: int):
         terms = dict(terms)
         for cycle_type, weight in terms.items():
             if weight < 1:
@@ -96,7 +93,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def induced_cycle_type(base: Partition, r: int) -> CycleType:
+def induced_cycle_type(base: Partition, r: int) -> Partition:
     """Cycle type of the permutation induced on r-subsets by a base cycle type.
 
     The m-th power of the induced permutation fixes
@@ -131,20 +128,11 @@ def induced_cycle_type(base: Partition, r: int) -> CycleType:
     if covered != points:
         raise ArithmeticError(
             f"induced cycle type of {base!r} covers {covered} of {points} points")
-    return Partition(mult, ambient=points)
+    return Partition(mult)
 
 
 @lru_cache(maxsize=128)
-def cycle_index_symmetric(p: int) -> CycleIndex:
-    """Cycle index of S_p acting on p points."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    terms = {j: permutation_count(j) for j in partitions_of(p)}
-    return CycleIndex(terms, factorial(p), p)
-
-
-@lru_cache(maxsize=128)
-def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, CycleType, int], ...]:
+def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int], ...]:
     """Unmerged cycle-index terms of S_p acting on r-subsets.
 
     One (base partition, induced cycle type, weight) triple per partition of
@@ -164,7 +152,7 @@ def cycle_index_subset_action(p: int, r: int) -> CycleIndex:
     Equal induced cycle types are merged by summing their weights, so the
     term count can drop below the number of partitions of p.
     """
-    merged: dict[CycleType, int] = {}
+    merged: dict[Partition, int] = {}
     for _, induced, weight in subset_action_terms(p, r):
         merged[induced] = merged.get(induced, 0) + weight
     return CycleIndex(merged, factorial(p), comb(p, r))

@@ -191,8 +191,3 @@ def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
                     seen[image] = 1
                     stack.append(image)
     return histogram
-
-
-def exhaustive_plex_count(p: int, n: int) -> int:
-    """Number of n-plexes on p points by exhaustive orbit walking."""
-    return sum(exhaustive_plex_histogram(p, n))

@@ -22,15 +22,14 @@ class Partition(tuple):
     partitions are equal tuples and can key term maps directly.  As a tuple, a
     Partition also equals the plain tuple of its pairs, is falsy when empty,
     orders like a tuple, and its ``len`` is the number of distinct part sizes.
+    Iterating it gives the pairs; ``dict(partition)`` maps size to multiplicity.
     """
 
     __slots__ = ()
 
-    def __new__(cls, parts: Mapping[int, int] | Iterable[tuple[int, int]] = (),
-                ambient: int | None = None) -> "Partition":
+    def __new__(cls, parts: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "Partition":
         mapping = dict(parts)
         items = []
-        total = 0
         for size in sorted(mapping):
             mult = mapping[size]
             if type(size) is not int or type(mult) is not int:
@@ -41,9 +40,6 @@ class Partition(tuple):
                 raise ValueError(f"multiplicity must be >= 0, got {mult}")
             if mult:
                 items.append((size, mult))
-                total += size * mult
-        if ambient is not None and ambient != total:
-            raise ValueError(f"parts sum to {total}, not the stated {ambient}")
         return super().__new__(cls, items)
 
     @classmethod
@@ -55,13 +51,6 @@ class Partition(tuple):
     def ambient(self) -> int:
         """The number partitioned: the sum of all parts."""
         return sum(size * mult for size, mult in self)
-
-    def multiplicity(self, size: int) -> int:
-        return dict(self).get(size, 0)
-
-    def items(self) -> "Partition":
-        """(size, multiplicity) pairs, ascending by part size: the partition itself."""
-        return self
 
     def sizes(self) -> tuple[int, ...]:
         """Distinct part sizes, ascending."""

@@ -39,10 +39,10 @@ def ordered_terms(index: CycleIndex) -> list[tuple[Partition, int]]:
 
 
 def monomial_plain(monomial: Partition, var: str = "a") -> str:
-    if not monomial.items():
+    if not monomial:
         return "1"
     pieces = []
-    for size, mult in monomial.items():
+    for size, mult in monomial:
         pieces.append(f"{var}{size}" if mult == 1 else f"{var}{size}^{mult}")
     return " ".join(pieces)
 
@@ -52,10 +52,10 @@ def _latex_sub(value: int) -> str:
 
 
 def monomial_latex(monomial: Partition, var: str = "a") -> str:
-    if not monomial.items():
+    if not monomial:
         return "1"
     pieces = []
-    for size, mult in monomial.items():
+    for size, mult in monomial:
         piece = f"{var}_{_latex_sub(size)}"
         if mult != 1:
             piece += f"^{_latex_sub(mult)}"
@@ -109,7 +109,7 @@ def render_latex_unmerged(terms: UnmergedTerms, group_order: int, var: str = "a"
 
 
 def _monomial_record(monomial: Partition) -> dict[str, int]:
-    return {str(size): mult for size, mult in monomial.items()}
+    return {str(size): mult for size, mult in monomial}
 
 
 def render_structured(index: CycleIndex, p: int, r: int,
@@ -146,22 +146,37 @@ def render_structured(index: CycleIndex, p: int, r: int,
     return "\n".join(lines)
 
 
+def _field(record: object, key: str, kind: type):
+    """``record[key]`` of a parsed JSON object; ValueError unless present with this type."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {record!r}")
+    value = record.get(key)
+    if type(value) is not kind:
+        raise ValueError(f"expected {key!r} of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def parse_structured(text: str) -> CycleIndex:
-    """Rebuild a CycleIndex from render_structured output (merging duplicates)."""
+    """Rebuild a CycleIndex from render_structured output (merging duplicates).
+
+    The document comes from outside the program, so anything malformed raises
+    ValueError.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty structured document")
     header = json.loads(lines[0])
-    if header.get("kind") != "cycle-index":
-        raise ValueError(f"unexpected document kind {header.get('kind')!r}")
-    expected = header["terms"]
+    kind = _field(header, "kind", str)
+    if kind != "cycle-index":
+        raise ValueError(f"unexpected document kind {kind!r}")
+    expected = _field(header, "terms", int)
     if len(lines) - 1 != expected:
         raise ValueError(f"header promises {expected} terms, found {len(lines) - 1}")
     terms: dict[Partition, int] = {}
     for line in lines[1:]:
         record = json.loads(line)
         monomial = Partition({int(size): mult
-                              for size, mult in record["monomial"].items()})
-        terms[monomial] = terms.get(monomial, 0) + int(record["weight"])
-    return CycleIndex(terms, group_order=int(header["group_order"]),
-                      ambient_points=header["points"])
+                              for size, mult in _field(record, "monomial", dict).items()})
+        terms[monomial] = terms.get(monomial, 0) + int(_field(record, "weight", str))
+    return CycleIndex(terms, group_order=int(_field(header, "group_order", str)),
+                      ambient_points=_field(header, "points", int))

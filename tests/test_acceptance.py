@@ -9,17 +9,14 @@ import sys
 from math import comb, factorial
 
 from plexcount.counting import ONE, plex_count, plex_polynomial, substitute
-from plexcount.cycle_index import cycle_index_subset_action, induced_cycle_type
+from plexcount.cycle_index import cycle_index_subset_action
 from plexcount.golden import load_golden
-from plexcount.oracle import (burnside_polynomial, cycle_type_of,
-                              exhaustive_plex_histogram, induce_on_subsets,
-                              representative_of)
-from plexcount.partitions import Partition, partitions_of
-from plexcount.verify import (BURNSIDE_MAX_N, BURNSIDE_MAX_P, EXHAUSTIVE_CASES,
-                              INDUCED_MAX_P)
+from plexcount.verify import _check_exhaustive, check_counts, check_formulas, check_oracle
 
 GRAPH_COLUMN = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
-CORRECTED_8_4 = Partition({1: 2, 4: 2, 6: 2, 12: 4})
+# the published term 3360 a1^2 a4^2 a6^2 has degree 22, not 70; the
+# computation must put exactly this term in its place
+CORRECTED_8_4 = "; computed 3360 a1^2 a4^2 a6^2 a12^4"
 
 
 def _report(number: int, label: str, passed: bool, detail: str = "") -> bool:
@@ -29,65 +26,54 @@ def _report(number: int, label: str, passed: bool, detail: str = "") -> bool:
     return passed
 
 
+def _all_passed(results, named, size=None):
+    """Verdict on verify's CheckResults: the named checks ran, and every check passed."""
+    names = [result.name for result in results]
+    if size is not None and len(names) != size:
+        return False, f"{len(names)} checks, expected {size}"
+    missing = [name for name in named if name not in names]
+    if missing:
+        return False, f"no check named {missing[0]!r}"
+    failed = [result.line() for result in results if not result.passed]
+    return not failed, "; ".join(failed)
+
+
+def _oracle_family(prefix):
+    return [result for result in check_oracle() if result.name.startswith(prefix)]
+
+
 def criterion_1_reference_counts():
-    for (p, n), expected in sorted(load_golden().counts.items()):
-        got = plex_count(p, n)
-        if got != expected:
-            return False, f"p={p} n={n}: expected {expected}, got {got}"
-    return True, ""
+    results = check_counts()
+    if results[0].name != "count p=1 n=1":
+        return False, f"first check {results[0].name!r}"
+    return _all_passed(results, ["count p=9 n=3"], size=27)
 
 
 def criterion_2_published_formulas():
-    data = load_golden()
-    for (p, r), formula in sorted(data.formulas.items()):
-        computed = dict(cycle_index_subset_action(p, r).terms)
-        expected = dict(formula)
-        for monomial, weight in data.known_discrepancies.get((p, r), ()):
-            if expected.pop(monomial, None) != weight:
-                return False, f"({p},{r}): bad discrepancy fixture entry"
-        for monomial, weight in expected.items():
-            if computed.get(monomial) != weight:
-                return False, f"({p},{r}): term {weight} {monomial} not reproduced"
-        surplus = {m: w for m, w in computed.items() if m not in expected}
-        if (p, r) == (8, 4):
-            # the published term 3360 a1^2 a4^2 a6^2 has degree 22, not 70;
-            # the computation must produce the corrected term instead
-            if surplus != {CORRECTED_8_4: 3360}:
-                return False, f"(8,4): replacement terms {surplus}"
-        elif surplus:
-            return False, f"({p},{r}): unexpected terms {surplus}"
-    return True, ""
+    results = check_formulas()  # six formulas plus the unmerged display
+    passed, detail = _all_passed(results, ["formula p=8 r=4", "unmerged terms p=6 r=3"],
+                                 size=7)
+    notes = {result.name: result.detail for result in results if result.detail}
+    note = notes.get("formula p=8 r=4", "")
+    if passed and (len(notes) != 1 or not note.startswith("known misprint")
+                   or not note.endswith(CORRECTED_8_4)):
+        return False, f"notes {notes}"
+    return passed, detail
 
 
 def criterion_3_induced_oracle():
-    for p in range(1, INDUCED_MAX_P + 1):
-        for base in partitions_of(p):
-            perm = representative_of(base)
-            for r in range(1, p + 1):
-                direct = cycle_type_of(induce_on_subsets(perm, r))
-                if direct != induced_cycle_type(base, r):
-                    return False, f"p={p} partition {base} r={r}"
-    return True, ""
+    return _all_passed(_oracle_family("induced cycle types"), ["induced cycle types p=7"])
 
 
 def criterion_4_burnside_oracle():
-    for p in range(2, BURNSIDE_MAX_P + 1):
-        for n in range(1, BURNSIDE_MAX_N + 1):
-            if n + 1 > p:
-                continue
-            if burnside_polynomial(p, n + 1) != plex_polynomial(p, n):
-                return False, f"p={p} n={n}"
-    return True, ""
+    return _all_passed(_oracle_family("independent polynomial"),
+                       ["independent polynomial p=9 n=3"])
 
 
 def criterion_5_exhaustive_ground_truth():
     # (6, 2), at 2^20 states, is the largest case the oracle allows
-    for p, n in EXHAUSTIVE_CASES + ((6, 2),):
-        brute = exhaustive_plex_histogram(p, n)
-        derived = list(plex_polynomial(p, n).coeffs)
-        if brute != derived:
-            return False, f"p={p} n={n}: exhaustive {brute}, computed {derived}"
-    return True, ""
+    results = _oracle_family("exhaustive orbit histogram") + [_check_exhaustive(6, 2)]
+    return _all_passed(results, ["exhaustive orbit histogram p=5 n=2"])
 
 
 def criterion_6_structural_invariants():

@@ -7,8 +7,9 @@ from collections import Counter
 from pathlib import Path
 
 from plexcount.cli import main
-from plexcount.cycle_index import cycle_index_subset_action, cycle_index_symmetric
+from plexcount.cycle_index import CycleIndex, cycle_index_subset_action
 from plexcount.golden import load_golden
+from plexcount.partitions import partitions_of, permutation_count
 from plexcount.render import parse_structured
 
 
@@ -97,7 +98,8 @@ def test_cycle_index_unmerged_json_like_merges_back(capsys):
 def test_cycle_index_r1_matches_symmetric_group(capsys):
     _, out = run(capsys, "cycle-index", "--p", "5", "--r", "1",
                  "--format", "json-like")
-    assert parse_structured(out) == cycle_index_symmetric(5)
+    symmetric = {j: permutation_count(j) for j in partitions_of(5)}
+    assert parse_structured(out) == CycleIndex(symmetric, 120, 5)
 
 
 def test_cycle_index_complement_same_terms(capsys):

@@ -114,7 +114,7 @@ def _naive_substitute(index, figure):
     total = []
     for cycle_type, weight in index.terms.items():
         term = (1,)
-        for size, mult in cycle_type.items():
+        for size, mult in cycle_type:
             spread = [0] * (len(figure) * size)
             spread[::size] = figure
             for _ in range(mult):

@@ -6,11 +6,10 @@ from math import comb, factorial
 
 import pytest
 
-from plexcount.cycle_index import (CycleIndex, cycle_index_subset_action,
-                                   cycle_index_symmetric, fixed_subset_count,
+from plexcount.cycle_index import (CycleIndex, cycle_index_subset_action, fixed_subset_count,
                                    induced_cycle_type, subset_action_terms)
 from plexcount.oracle import subset_index
-from plexcount.partitions import Partition, partitions_of
+from plexcount.partitions import Partition, partitions_of, permutation_count
 
 # merged Z(S_6^(3)), frozen from the published nine-term display
 MERGED_6_3 = {
@@ -84,7 +83,7 @@ def test_induced_cycle_type_weight_and_range():
 
 
 def test_cycle_index_symmetric_s3():
-    z = cycle_index_symmetric(3)
+    z = cycle_index_subset_action(3, 1)
     assert z.group_order == 6
     assert z.ambient_points == 3
     assert z.terms == {Partition({1: 3}): 1,
@@ -107,16 +106,16 @@ def test_cycle_index_symmetric_s3_against_explicit_tally():
                 size += 1
             sizes.append(size)
         tally[Partition.from_sizes(sizes)] += 1
-    assert dict(tally) == cycle_index_symmetric(3).terms
+    assert dict(tally) == cycle_index_subset_action(3, 1).terms
 
 
 def test_cycle_index_symmetric_edges():
-    assert cycle_index_symmetric(1).terms == {Partition({1: 1}): 1}
+    assert cycle_index_subset_action(1, 1).terms == {Partition({1: 1}): 1}
     for p in range(1, 13):
-        z = cycle_index_symmetric(p)
+        z = cycle_index_subset_action(p, 1)
         assert sum(z.terms.values()) == factorial(p) == z.group_order
     with pytest.raises(ValueError):
-        cycle_index_symmetric(0)
+        cycle_index_subset_action(0, 1)
 
 
 def test_subset_action_merged_6_3():
@@ -137,8 +136,11 @@ def test_subset_action_terms_unmerged_6_3():
 
 
 def test_subset_action_r1_matches_symmetric():
+    # Z(S_p): one term per partition of p, weighted by its permutation count
     for p in range(1, 10):
-        assert cycle_index_subset_action(p, 1) == cycle_index_symmetric(p)
+        z = cycle_index_subset_action(p, 1)
+        assert z.terms == {j: permutation_count(j) for j in partitions_of(p)}
+        assert (z.group_order, z.ambient_points) == (factorial(p), p)
 
 
 def test_subset_action_complement_identity():
@@ -174,6 +176,6 @@ def test_cycle_index_constructor_validation():
 
 
 def test_caches_are_bounded():
-    for cached in (partitions_of, cycle_index_symmetric, subset_action_terms,
-                   cycle_index_subset_action, subset_index):
+    for cached in (partitions_of, subset_action_terms, cycle_index_subset_action,
+                   subset_index):
         assert cached.cache_info().maxsize is not None

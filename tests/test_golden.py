@@ -1,13 +1,11 @@
 """Bundled reference data: integrity and agreement with computed results."""
 
 import json
-from collections import Counter
 from math import comb, factorial
 
 import pytest
 
-from plexcount.counting import plex_count
-from plexcount.cycle_index import cycle_index_subset_action, subset_action_terms
+from plexcount.cycle_index import subset_action_terms
 from plexcount import golden
 from plexcount.golden import fixture_path, load_golden
 from plexcount.oracle import cycle_type_of, induce_on_subsets, representative_of
@@ -56,40 +54,11 @@ def test_fixture_degrees():
     assert MISPRINTED_8_4.ambient == 22
 
 
-def test_counts_reproduced():
-    for (p, n), expected in load_golden().counts.items():
-        assert plex_count(p, n) == expected
-
-
-def test_formulas_reproduced_except_known_misprint():
-    data = load_golden()
-    for (p, r), formula in data.formulas.items():
-        computed = dict(cycle_index_subset_action(p, r).terms)
-        expected = dict(formula)
-        for monomial, weight in data.known_discrepancies.get((p, r), ()):
-            assert expected.pop(monomial) == weight
-        for monomial, weight in expected.items():
-            assert computed.get(monomial) == weight, (p, r, str(monomial))
-        surplus = {m: w for m, w in computed.items() if m not in expected}
-        if (p, r) == (8, 4):
-            assert surplus == {CORRECTED_8_4: 3360}
-        else:
-            assert surplus == {}
-
-
 def test_corrected_8_4_term_confirmed_by_explicit_induction():
     # independent of the inversion pipeline: lay out a permutation with
     # cycle type 4+3+1 and trace its induced action on 4-subsets
     perm = representative_of(Partition({4: 1, 3: 1, 1: 1}))
     assert cycle_type_of(induce_on_subsets(perm, 4)) == CORRECTED_8_4
-
-
-def test_unmerged_display_reproduced():
-    data = load_golden()
-    expected = Counter(data.unmerged_formulas[(6, 3)])
-    computed = Counter((induced, weight)
-                       for _, induced, weight in subset_action_terms(6, 3))
-    assert expected == computed
 
 
 def test_unmerged_duplicates_come_from_distinct_partitions():

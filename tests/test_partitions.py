@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from plexcount import cycle_index
 from plexcount.partitions import (Partition, partitions_of, permutation_count,
                                   power_cycle_type)
 
@@ -46,12 +47,10 @@ def local_cycle_sizes(perm):
 def test_partition_construction_and_views():
     j = Partition({3: 1, 2: 2, 1: 1})
     assert j.ambient == 8
-    assert j.items() == ((1, 1), (2, 2), (3, 1))
+    assert dict(j) == {1: 1, 2: 2, 3: 1}
     assert j.sizes() == (1, 2, 3)
     assert j.to_sizes() == [3, 2, 2, 1]
     assert j.num_parts() == 4
-    assert j.multiplicity(2) == 2
-    assert j.multiplicity(5) == 0
     assert str(j) == "3+2+2+1"
     assert Partition.from_sizes([2, 3, 2, 1]) == j
     assert str(Partition()) == "0"
@@ -62,14 +61,17 @@ def test_partition_zero_multiplicities_dropped():
     assert Partition({2: 1, 5: 0}).sizes() == (2,)
 
 
-def test_partition_validation():
+def test_partition_validation(monkeypatch):
     with pytest.raises(ValueError):
         Partition({0: 1})
     with pytest.raises(ValueError):
         Partition({2: -1})
-    with pytest.raises(ValueError):
-        Partition({2: 2}, ambient=5)
-    assert Partition({2: 2}, ambient=4).ambient == 4
+    assert Partition({2: 2}).ambient == 4
+    # an induced cycle type must partition all C(p, r) subsets; with every
+    # fixed count forced to 0 the inversion recovers no cycle at all
+    monkeypatch.setattr(cycle_index, "fixed_subset_count", lambda cycle_type, r: 0)
+    with pytest.raises(ArithmeticError, match="covers 0 of 3 points"):
+        cycle_index.induced_cycle_type(Partition({3: 1}), 1)
 
 
 def test_partition_rejects_non_int_parts():

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from plexcount.cycle_index import (cycle_index_subset_action, cycle_index_symmetric,
-                                   subset_action_terms)
+from plexcount.cycle_index import cycle_index_subset_action, subset_action_terms
 from plexcount.partitions import Partition
 from plexcount.render import (monomial_latex, monomial_plain, ordered_terms,
                               parse_structured, render_latex, render_latex_unmerged,
@@ -39,7 +38,7 @@ def test_ordered_terms_put_identity_term_first():
 
 
 def test_render_plain_s3():
-    assert render_plain(cycle_index_symmetric(3)) == (
+    assert render_plain(cycle_index_subset_action(3, 1)) == (
         "1/6 * (\n"
         "    a1^3\n"
         "  + 3 a1 a2\n"
@@ -117,6 +116,16 @@ def test_parse_structured_rejects_bad_documents():
         parse_structured(good.replace("cycle-index", "other-kind"))
     with pytest.raises(ValueError):
         parse_structured("\n".join(good.splitlines()[:-1]))
+    header, first, *rest = good.splitlines()
+    no_group_order = {key: value for key, value in json.loads(header).items()
+                      if key != "group_order"}
+    record = json.loads(first)
+    del record["monomial"]
+    for bad in ("[]", "\n".join([json.dumps(no_group_order), first, *rest]),
+                "\n".join([header, "[1]", *rest]),
+                "\n".join([header, json.dumps(record), *rest])):
+        with pytest.raises(ValueError):
+            parse_structured(bad)
 
 
 def test_parse_structured_rejects_non_integer_exponents():

@@ -11,34 +11,6 @@ from plexcount.verify import (CheckResult, check_counts, check_formulas,
                               check_oracle, run_scope)
 
 
-def test_check_counts_all_pass():
-    results = check_counts()
-    assert len(results) == 27
-    assert all(result.passed for result in results)
-    assert results[0].name == "count p=1 n=1"
-
-
-def test_check_formulas_all_pass_with_misprint_note():
-    results = check_formulas()
-    assert len(results) == 7  # six formulas plus the unmerged display
-    assert all(result.passed for result in results)
-    by_name = {result.name: result for result in results}
-    note = by_name["formula p=8 r=4"].detail
-    assert "known misprint" in note
-    assert "a12^4" in note
-    assert by_name["formula p=6 r=3"].detail == ""
-    assert by_name["unmerged terms p=6 r=3"].passed
-
-
-def test_check_oracle_all_pass():
-    results = check_oracle()
-    assert all(result.passed for result in results)
-    names = [result.name for result in results]
-    assert "induced cycle types p=7" in names
-    assert "independent polynomial p=9 n=3" in names
-    assert "exhaustive orbit histogram p=5 n=2" in names
-
-
 def test_run_scope_composition():
     assert len(run_scope("table")) == 27
     assert len(run_scope("formulas")) == 7
@@ -72,6 +44,15 @@ def test_check_formulas_reports_wrong_terms(monkeypatch):
     assert not results["formula p=6 r=3"].passed
     assert "not reproduced (computed weight 0)" in results["formula p=6 r=3"].detail
     assert not results["formula p=8 r=4"].passed
+
+
+def test_check_formulas_reports_wrong_unmerged_display(monkeypatch):
+    terms = verify.subset_action_terms(6, 3)
+    # the term induced by a 6-cycle goes missing
+    monkeypatch.setattr(verify, "subset_action_terms", lambda p, r: terms[1:])
+    results = {result.name: result for result in check_formulas()}
+    assert results["unmerged terms p=6 r=3"].line() == (
+        "FAIL unmerged terms p=6 r=3: term multiset differs from the published display")
 
 
 def test_check_oracle_reports_disagreement(monkeypatch):

@@ -24,17 +24,22 @@ from .partitions import Partition, partitions_of, permutation_count, power_cycle
 class CycleIndex:
     """Exact cycle index: integer-weighted cycle-type monomials over 1/group_order.
 
-    ``terms`` maps each cycle type to a positive integer weight.  The weights
+    ``terms`` maps each cycle type to a positive int weight.  The weights
     sum to ``group_order`` and every cycle type partitions ``ambient_points``,
-    both checked at construction.  The normalising 1/group_order factor is
+    all checked at construction.  The normalising 1/group_order factor is
     implicit; it is applied only when substituting (see counting.substitute).
     """
 
     __slots__ = ("terms", "group_order", "ambient_points")
 
     def __init__(self, terms: dict[Partition, int], group_order: int, ambient_points: int):
+        if type(group_order) is not int or type(ambient_points) is not int:
+            raise ValueError(f"group order and point count must be int, "
+                             f"got {group_order!r} and {ambient_points!r}")
         terms = dict(terms)
         for cycle_type, weight in terms.items():
+            if type(weight) is not int:
+                raise ValueError(f"term weight must be int, got {weight!r}")
             if weight < 1:
                 raise ValueError(f"term weight must be >= 1, got {weight}")
             if cycle_type.ambient != ambient_points:
@@ -138,6 +143,7 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int
     One (base partition, induced cycle type, weight) triple per partition of
     p, in partitions_of order.  Distinct base partitions can induce the same
     cycle type; this form keeps them apart so each term stays auditable.
+    The result is cached; it is an immutable tuple, so callers share it safely.
     """
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= p, got p={p}, r={r}")
@@ -145,12 +151,13 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int
                  for j in partitions_of(p))
 
 
-@lru_cache(maxsize=128)
 def cycle_index_subset_action(p: int, r: int) -> CycleIndex:
     """Cycle index of S_p acting on the r-element subsets of p points.
 
     Equal induced cycle types are merged by summing their weights, so the
-    term count can drop below the number of partitions of p.
+    term count can drop below the number of partitions of p.  Each call
+    merges a new CycleIndex from the cached subset_action_terms, so the
+    caller may edit the result without changing any later one.
     """
     merged: dict[Partition, int] = {}
     for _, induced, weight in subset_action_terms(p, r):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from math import comb, factorial
 
@@ -70,8 +69,12 @@ def _validate(data: GoldenData) -> None:
             raise ValueError(f"unmerged terms for ({p},{r}) do not merge to the formula")
 
 
-@lru_cache(maxsize=None)
 def load_golden() -> GoldenData:
+    """Read, parse and validate the bundled reference data.
+
+    Every call builds a new GoldenData from the file, so the caller may edit
+    its dicts without changing any later result.
+    """
     raw = json.loads(fixture_path().read_text(encoding="utf-8"))
     counts = {(entry["p"], entry["n"]): int(entry["count"])
               for entry in raw["counts"]}

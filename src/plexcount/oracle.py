@@ -8,7 +8,10 @@ and small but trustworthy, which is exactly what the verification suite and
 the CLI ``verify`` command want.
 
 An explicit permutation is a plain tuple ``image`` of length N with
-``image[i]`` the image of point i; it must be a bijection on 0..N-1.
+``image[i]`` the image of point i; it must be a bijection on 0..N-1.  A
+permutation induced on r-subsets acts on subset numbers: the r-subsets of
+0..p-1 are numbered by their position in the cached colex tuple
+``colex_subsets(p, r)``.
 
 The exhaustive orbit counter walks the orbits of S_p on bitmasks through the
 two mask maps induced by the generators (0 1 ... p-1) and (0 1), in pure
@@ -28,36 +31,16 @@ from .partitions import Partition, partitions_of, permutation_count
 ExplicitPermutation = tuple[int, ...]
 
 
-class SubsetIndex:
-    """Fixed bijection between 0..C(p,r)-1 and the r-subsets of 0..p-1.
-
-    Subsets are numbered colexicographically (compare largest elements
-    first), so rank(unrank(t)) == t and unrank is strictly increasing in
-    colex order.
-    """
-
-    def __init__(self, p: int, r: int):
-        if r < 0 or p < 0:
-            raise ValueError(f"need p >= 0 and r >= 0, got p={p}, r={r}")
-        self.p = p
-        self.r = r
-        self.subsets: tuple[tuple[int, ...], ...] = tuple(
-            sorted(combinations(range(p), r), key=lambda s: s[::-1]))
-        self._rank = {s: t for t, s in enumerate(self.subsets)}
-
-    def rank(self, subset) -> int:
-        return self._rank[tuple(sorted(subset))]
-
-    def unrank(self, t: int) -> tuple[int, ...]:
-        return self.subsets[t]
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-
 @lru_cache(maxsize=128)
-def subset_index(p: int, r: int) -> SubsetIndex:
-    return SubsetIndex(p, r)
+def colex_subsets(p: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The r-subsets of 0..p-1 in colex order (compare largest elements first).
+
+    A subset's position in this tuple is its rank; the rank of
+    {a_1 < ... < a_r} is sum C(a_i, i).
+    """
+    if r < 0 or p < 0:
+        raise ValueError(f"need p >= 0 and r >= 0, got p={p}, r={r}")
+    return tuple(sorted(combinations(range(p), r), key=lambda s: s[::-1]))
 
 
 def representative_of(cycle_type: Partition) -> ExplicitPermutation:
@@ -83,8 +66,9 @@ def induce_on_subsets(perm: ExplicitPermutation, r: int) -> ExplicitPermutation:
         raise ValueError("image is not a bijection")
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= {p}, got r={r}")
-    index = subset_index(p, r)
-    return tuple(index.rank([perm[i] for i in subset]) for subset in index.subsets)
+    subsets = colex_subsets(p, r)
+    rank = {subset: t for t, subset in enumerate(subsets)}
+    return tuple(rank[tuple(sorted(perm[i] for i in subset))] for subset in subsets)
 
 
 def _cycle_lengths(perm: ExplicitPermutation) -> list[int]:

@@ -92,7 +92,7 @@ def partitions_of(p: int) -> tuple[Partition, ...]:
 
     partitions_of(4) lists [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
     partitions_of(0) is the single empty partition, which the subset-count
-    loops rely on.  The result is cached and must not be mutated.
+    loops rely on.  The result is cached; it is an immutable tuple.
     """
     if p < 0:
         raise ValueError(f"cannot partition {p}")

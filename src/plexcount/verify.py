@@ -23,7 +23,7 @@ from math import comb
 
 from .counting import plex_count, plex_polynomial
 from .cycle_index import cycle_index_subset_action, induced_cycle_type, subset_action_terms
-from .golden import load_golden
+from .golden import GoldenData, load_golden
 from .oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
                      induce_on_subsets, representative_of)
 from .partitions import Partition, partitions_of
@@ -61,10 +61,9 @@ def _term_text(monomial: Partition, weight: int) -> str:
     return f"{weight} {monomial_plain(monomial)}"
 
 
-def _check_one_formula(p: int, r: int) -> CheckResult:
-    data = load_golden()
+def _check_one_formula(data: GoldenData, p: int, r: int) -> CheckResult:
     expected = dict(data.formulas[(p, r)])
-    computed = dict(cycle_index_subset_action(p, r).terms)
+    computed = cycle_index_subset_action(p, r).terms
     name = f"formula p={p} r={r}"
 
     notes = []
@@ -107,8 +106,8 @@ def _check_one_formula(p: int, r: int) -> CheckResult:
                        f"{published}; computed {replacement}")
 
 
-def _check_unmerged(p: int, r: int) -> CheckResult:
-    expected = Counter(load_golden().unmerged_formulas[(p, r)])
+def _check_unmerged(data: GoldenData, p: int, r: int) -> CheckResult:
+    expected = Counter(data.unmerged_formulas[(p, r)])
     computed = Counter((induced, weight)
                        for _, induced, weight in subset_action_terms(p, r))
     passed = expected == computed
@@ -118,8 +117,8 @@ def _check_unmerged(p: int, r: int) -> CheckResult:
 
 def check_formulas() -> list[CheckResult]:
     data = load_golden()
-    results = [_check_one_formula(p, r) for p, r in sorted(data.formulas)]
-    results.extend(_check_unmerged(p, r) for p, r in sorted(data.unmerged_formulas))
+    results = [_check_one_formula(data, p, r) for p, r in sorted(data.formulas)]
+    results.extend(_check_unmerged(data, p, r) for p, r in sorted(data.unmerged_formulas))
     return results
 
 

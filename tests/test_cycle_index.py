@@ -1,14 +1,18 @@
 """Fixed-subset counts, induced cycle types, and assembled cycle indices."""
 
+import importlib
+import pkgutil
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
+import plexcount
+from plexcount.counting import plex_count, plex_polynomial
 from plexcount.cycle_index import (CycleIndex, cycle_index_subset_action, fixed_subset_count,
                                    induced_cycle_type, subset_action_terms)
-from plexcount.oracle import subset_index
+from plexcount.oracle import colex_subsets
 from plexcount.partitions import Partition, partitions_of, permutation_count
 
 # merged Z(S_6^(3)), frozen from the published nine-term display
@@ -173,9 +177,35 @@ def test_cycle_index_constructor_validation():
         CycleIndex({term: 6}, group_order=6, ambient_points=4)  # degree
     with pytest.raises(ValueError):
         CycleIndex({term: 0}, group_order=0, ambient_points=3)  # empty weight
+    s3 = {Partition({1: 1, 2: 1}): 3, Partition({3: 1}): 2}
+    for weight in (1.0, True):
+        with pytest.raises(ValueError):
+            CycleIndex({term: weight, **s3}, group_order=6, ambient_points=3)
+    with pytest.raises(ValueError):
+        CycleIndex({term: 6}, group_order=6.0, ambient_points=3)
+    with pytest.raises(ValueError):
+        CycleIndex({Partition({1: 1}): 1}, group_order=1, ambient_points=True)
 
 
 def test_caches_are_bounded():
-    for cached in (partitions_of, subset_action_terms, cycle_index_subset_action,
-                   subset_index):
-        assert cached.cache_info().maxsize is not None
+    # every cache in the package, each bounded and holding only tuples
+    modules = [importlib.import_module(f"plexcount.{info.name}")
+               for info in pkgutil.iter_modules(plexcount.__path__)]
+    cached = {value for module in modules for value in vars(module).values()
+              if hasattr(value, "cache_info")}
+    assert cached == {partitions_of, subset_action_terms, colex_subsets}
+    for function, args in ((partitions_of, (4,)), (subset_action_terms, (4, 2)),
+                           (colex_subsets, (4, 2))):
+        assert function.cache_info().maxsize is not None
+        assert type(function(*args)) is tuple
+
+
+def test_edited_cycle_index_changes_no_later_result():
+    original = cycle_index_subset_action(4, 2)
+    edited = cycle_index_subset_action(4, 2)
+    assert edited is not original
+    edited.terms.clear()
+    edited.terms[Partition({1: 6})] = 24
+    assert cycle_index_subset_action(4, 2) == original
+    assert plex_count(4, 1) == 11
+    assert plex_polynomial(4, 1).coeffs == (1, 1, 2, 3, 2, 1, 1)

@@ -84,9 +84,5 @@ def test_loader_rejects_non_integer_exponents(monkeypatch, tmp_path):
     corrupted = tmp_path / "golden.json"
     corrupted.write_text(json.dumps(raw), encoding="utf-8")
     monkeypatch.setattr(golden, "fixture_path", lambda: corrupted)
-    load_golden.cache_clear()
-    try:
-        with pytest.raises(ValueError):
-            load_golden()
-    finally:
-        load_golden.cache_clear()
+    with pytest.raises(ValueError):
+        load_golden()

@@ -7,7 +7,7 @@ import pytest
 
 from plexcount.counting import plex_count
 from plexcount.oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
-                              induce_on_subsets, representative_of, subset_index)
+                              colex_subsets, induce_on_subsets, representative_of)
 from plexcount.partitions import Partition, partitions_of
 from plexcount.verify import _check_burnside, _check_exhaustive
 
@@ -16,28 +16,26 @@ def compose(outer, inner):
     return tuple(outer[inner[i]] for i in range(len(inner)))
 
 
-def test_subset_index_roundtrip():
+def test_colex_subsets_length_and_order():
     for p in range(0, 8):
         for r in range(0, p + 1):
-            index = subset_index(p, r)
-            assert len(index) == comb(p, r)
-            for t in range(len(index)):
-                assert index.rank(index.unrank(t)) == t
-            assert list(index.subsets) == sorted(index.subsets, key=lambda s: s[::-1])
+            subsets = colex_subsets(p, r)
+            assert len(subsets) == comb(p, r)
+            assert list(subsets) == sorted(combinations(range(p), r), key=lambda s: s[::-1])
 
 
-def test_subset_index_colex_rank_formula():
-    # colex rank of {a_1 < ... < a_r} is sum of C(a_i, i)
-    index = subset_index(7, 3)
+def test_colex_subsets_rank_formula():
+    # colex rank (position) of {a_1 < ... < a_r} is sum of C(a_i, i)
+    subsets = colex_subsets(7, 3)
     for subset in combinations(range(7), 3):
         expected = sum(comb(element, position + 1)
                        for position, element in enumerate(subset))
-        assert index.rank(subset) == expected
+        assert subsets.index(subset) == expected
 
 
-def test_subset_index_rejects_negative():
+def test_colex_subsets_rejects_negative():
     with pytest.raises(ValueError):
-        subset_index(3, -1)
+        colex_subsets(3, -1)
 
 
 def test_representative_has_requested_cycle_type():
@@ -53,8 +51,8 @@ def test_induce_on_subsets_fixed_4_subsets():
     perm = representative_of(Partition({1: 1, 2: 2, 3: 1}))
     assert perm == (1, 2, 0, 4, 3, 6, 5, 7)
     induced = induce_on_subsets(perm, 4)
-    index = subset_index(8, 4)
-    fixed = {index.unrank(t) for t in range(len(induced)) if induced[t] == t}
+    subsets = colex_subsets(8, 4)
+    fixed = {subsets[t] for t in range(len(induced)) if induced[t] == t}
     assert fixed == {(0, 1, 2, 7), (3, 4, 5, 6)}
 
 

@@ -6,7 +6,10 @@ type induced on r-element subsets is computed from the base cycle type
 alone, with no explicit permutations: a subset is fixed exactly when it is
 a union of whole cycles, which gives the number of 1-cycles of every power
 of the induced permutation, and the full induced cycle type follows by
-inversion over the divisors of the base permutation's order.
+inversion over the divisors of the base permutation's order.  That walk
+runs on plain ints and dicts; fixed_subset_count and
+partitions.power_cycle_type are the definitions it follows, kept public as
+the reference the tests compare it against.
 
 Everything here is exact integer arithmetic.  Any division that comes out
 inexact, or any negative intermediate multiplicity, raises ArithmeticError
@@ -16,9 +19,9 @@ instead of rounding.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
-from .partitions import Partition, partitions_of, permutation_count, power_cycle_type
+from .partitions import Partition, partitions_of, permutation_count
 
 
 class CycleIndex:
@@ -109,22 +112,42 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
     a time; all other multiplicities are zero because the induced
     permutation's order divides the base order.  The loop stops as soon as
     the recovered cycles cover all C(p, r) points.
+
+    The walk computes that fixed count on ints alone.  Each k-cycle of the
+    base becomes gcd(m, k) cycles of length k / gcd(m, k) in the m-th power,
+    and only lengths up to r are kept, since a longer cycle lies in no fixed
+    r-subset.  One Partition is built, and validated, at the end.
     """
     p = base.ambient
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= {p}, got r={r}")
     points = comb(p, r)
     order = lcm(*base.sizes())
+    subsets = partitions_of(r)
     mult: dict[int, int] = {}
     covered = 0
     for m in _divisors(order):
-        fixed = fixed_subset_count(power_cycle_type(base, m), r)
-        fixed_by_shorter = sum(d * md for d, md in mult.items() if m % d == 0)
-        quotient, leftover = divmod(fixed - fixed_by_shorter, m)
+        short: dict[int, int] = {}
+        for size, count in base:
+            g = gcd(m, size)
+            if size <= r * g:
+                short[size // g] = short.get(size // g, 0) + g * count
+        fixed = 0
+        for sub in subsets:
+            ways = 1
+            for length, needed in sub:
+                ways *= comb(short.get(length, 0), needed)
+                if not ways:
+                    break
+            fixed += ways
+        for d, md in mult.items():
+            if m % d == 0:
+                fixed -= d * md
+        quotient, leftover = divmod(fixed, m)
         if leftover or quotient < 0:
             raise ArithmeticError(
                 f"cycle-type inversion failed at m={m} for base {base!r}, r={r}: "
-                f"{fixed - fixed_by_shorter} is not a nonnegative multiple of {m}")
+                f"{fixed} is not a nonnegative multiple of {m}")
         if quotient:
             mult[m] = quotient
             covered += m * quotient

@@ -3,17 +3,20 @@
 import importlib
 import pkgutil
 from collections import Counter
-from itertools import combinations, permutations
-from math import comb, factorial
+from itertools import accumulate, combinations, permutations
+from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plexcount
+from plexcount import cycle_index
 from plexcount.counting import plex_count, plex_polynomial
 from plexcount.cycle_index import (CycleIndex, cycle_index_subset_action, fixed_subset_count,
                                    induced_cycle_type, subset_action_terms)
 from plexcount.oracle import colex_subsets
-from plexcount.partitions import Partition, partitions_of, permutation_count
+from plexcount.partitions import Partition, partitions_of, permutation_count, power_cycle_type
 
 # merged Z(S_6^(3)), frozen from the published nine-term display
 MERGED_6_3 = {
@@ -84,6 +87,53 @@ def test_induced_cycle_type_weight_and_range():
         induced_cycle_type(Partition({3: 1}), 0)
     with pytest.raises(ValueError):
         induced_cycle_type(Partition({3: 1}), 4)
+
+
+def reference_induced_cycle_type(base, r):
+    """Inversion from the definitions, over every divisor of the order, with no early stop."""
+    order = lcm(*base.sizes())
+    mult = {}
+    for m in (d for d in range(1, order + 1) if order % d == 0):
+        fixed = fixed_subset_count(power_cycle_type(base, m), r)
+        rest = fixed - sum(d * md for d, md in mult.items() if m % d == 0)
+        assert rest >= 0 and rest % m == 0
+        mult[m] = rest // m
+    return Partition(mult)
+
+
+def test_induced_cycle_type_matches_reference_inversion():
+    for p in range(1, 13):
+        for j in partitions_of(p):
+            for r in range(1, p + 1):
+                assert induced_cycle_type(j, r) == reference_induced_cycle_type(j, r)
+
+
+# random partitions of p <= 30, with r up to 4: the range plex_count(p, n <= 3) inverts
+PARTITION_AND_R = st.lists(st.integers(1, 30), min_size=1, max_size=30).map(
+    lambda parts: [size for size, total in zip(parts, accumulate(parts)) if total <= 30]
+).flatmap(lambda sizes: st.tuples(st.just(Partition.from_sizes(sizes)),
+                                  st.integers(1, min(4, sum(sizes)))))
+
+
+@settings(deadline=None)
+@given(PARTITION_AND_R)
+def test_induced_cycle_type_matches_reference_at_large_p(case):
+    base, r = case
+    assert induced_cycle_type(base, r) == reference_induced_cycle_type(base, r)
+
+
+def test_inversion_guards(monkeypatch):
+    # an induced cycle type must partition all C(p, r) subsets; with no
+    # partition of r to count, every fixed count is 0 and no cycle is found
+    monkeypatch.setattr(cycle_index, "partitions_of", lambda n: ())
+    with pytest.raises(ArithmeticError, match="covers 0 of 3 points"):
+        induced_cycle_type(Partition({3: 1}), 1)
+    # counting only subsets of 1-cycles misses the pair that is the base's
+    # 2-cycle, so m = 1 finds no fixed pair and the square's 3 fixed pairs
+    # are left to cycles of length 2
+    monkeypatch.setattr(cycle_index, "partitions_of", lambda n: (Partition({1: n}),))
+    with pytest.raises(ArithmeticError, match="3 is not a nonnegative multiple of 2"):
+        induced_cycle_type(Partition({1: 1, 2: 1}), 2)
 
 
 def test_cycle_index_symmetric_s3():

@@ -8,7 +8,6 @@ from math import factorial
 
 import pytest
 
-from plexcount import cycle_index
 from plexcount.partitions import (Partition, partitions_of, permutation_count,
                                   power_cycle_type)
 
@@ -61,17 +60,12 @@ def test_partition_zero_multiplicities_dropped():
     assert Partition({2: 1, 5: 0}).sizes() == (2,)
 
 
-def test_partition_validation(monkeypatch):
+def test_partition_validation():
     with pytest.raises(ValueError):
         Partition({0: 1})
     with pytest.raises(ValueError):
         Partition({2: -1})
     assert Partition({2: 2}).ambient == 4
-    # an induced cycle type must partition all C(p, r) subsets; with every
-    # fixed count forced to 0 the inversion recovers no cycle at all
-    monkeypatch.setattr(cycle_index, "fixed_subset_count", lambda cycle_type, r: 0)
-    with pytest.raises(ArithmeticError, match="covers 0 of 3 points"):
-        cycle_index.induced_cycle_type(Partition({3: 1}), 1)
 
 
 def test_partition_rejects_non_int_parts():

@@ -12,9 +12,10 @@ Subcommands:
 * ``verify``: run the reference-data and oracle cross-checks.
 
 Exit status is 0 on success, 1 when ``verify`` finds a mismatch, and 2 for
-usage errors.  The p ceiling (default 12, applied to ``table --max-n`` too)
-is a guardrail against accidental huge runs, not an algorithmic limit; raise
-it with ``--limit``.
+usage errors.  Each argument has one guard, and all run before any work:
+``--p/--n/--r/--max-p/--max-n`` parse as ints >= 1, ``cycle-index`` needs
+r <= p, and ``main`` holds ``--p/--max-p/--max-n`` to one ceiling (default
+12), a guardrail against accidental huge runs that ``--limit`` raises.
 """
 
 from __future__ import annotations
@@ -24,11 +25,18 @@ import sys
 
 from .counting import plex_count, plex_polynomial
 from .cycle_index import cycle_index_subset_action, subset_action_terms
-from .render import (render_latex, render_latex_unmerged, render_plain,
-                     render_plain_unmerged, render_structured)
+from .render import render_latex, render_plain, render_structured
 from .verify import SCOPES, run_scope
 
 DEFAULT_LIMIT = 12
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --p, --n, --r, --max-p and --max-n: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_limit(parser: argparse.ArgumentParser) -> None:
@@ -46,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ci = sub.add_parser("cycle-index",
                         help="cycle index of S_p acting on r-subsets")
-    ci.add_argument("--p", type=int, required=True, help="number of points")
-    ci.add_argument("--r", type=int, required=True, help="subset size")
+    ci.add_argument("--p", type=positive_int, required=True, help="number of points")
+    ci.add_argument("--r", type=positive_int, required=True, help="subset size")
     ci.add_argument("--format", choices=("plain", "latex", "json-like"),
                     default="plain", help="output format (default %(default)s)")
     ci.add_argument("--unmerged", action="store_true",
@@ -57,21 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_limit(ci)
     ci.set_defaults(handler=_cmd_cycle_index)
 
-    poly = sub.add_parser("poly", help="counting polynomial of n-plexes on p points")
-    poly.add_argument("--p", type=int, required=True, help="number of points")
-    poly.add_argument("--n", type=int, required=True, help="plex dimension")
-    _add_limit(poly)
-    poly.set_defaults(handler=_cmd_poly)
-
-    count = sub.add_parser("count", help="total number of n-plexes on p points")
-    count.add_argument("--p", type=int, required=True, help="number of points")
-    count.add_argument("--n", type=int, required=True, help="plex dimension")
-    _add_limit(count)
-    count.set_defaults(handler=_cmd_count)
+    for name, handler, help_text in (
+            ("poly", _cmd_poly, "counting polynomial of n-plexes on p points"),
+            ("count", _cmd_count, "total number of n-plexes on p points")):
+        pn = sub.add_parser(name, help=help_text)
+        pn.add_argument("--p", type=positive_int, required=True, help="number of points")
+        pn.add_argument("--n", type=positive_int, required=True, help="plex dimension")
+        _add_limit(pn)
+        pn.set_defaults(handler=handler)
 
     table = sub.add_parser("table", help="grid of counts over a range of p and n")
-    table.add_argument("--max-p", type=int, default=9, help="last row (default %(default)s)")
-    table.add_argument("--max-n", type=int, default=3, help="last column (default %(default)s)")
+    table.add_argument("--max-p", type=positive_int, default=9,
+                       help="last row (default %(default)s)")
+    table.add_argument("--max-n", type=positive_int, default=3,
+                       help="last column (default %(default)s)")
     _add_limit(table)
     table.set_defaults(handler=_cmd_table)
 
@@ -82,45 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(parser: argparse.ArgumentParser, condition: bool, message: str) -> None:
-    if not condition:
-        parser.error(message)
-
-
 def _cmd_cycle_index(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require(parser, args.p >= 1, f"p must be >= 1, got {args.p}")
-    _require(parser, args.p <= args.limit,
-             f"p={args.p} exceeds the ceiling {args.limit} (use --limit to raise it)")
-    _require(parser, 1 <= args.r <= args.p, f"r must satisfy 1 <= r <= p, got r={args.r}")
+    if args.r > args.p:
+        parser.error(f"r must satisfy 1 <= r <= p, got r={args.r}")
     index = cycle_index_subset_action(args.p, args.r)
-    if args.unmerged:
-        terms = subset_action_terms(args.p, args.r)
-        if args.format == "plain":
-            text = render_plain_unmerged(terms, index.group_order, var=args.var)
-        elif args.format == "latex":
-            text = render_latex_unmerged(terms, index.group_order, var=args.var)
-        else:
-            text = render_structured(index, args.p, args.r, unmerged=terms)
+    unmerged = subset_action_terms(args.p, args.r) if args.unmerged else None
+    if args.format == "json-like":
+        print(render_structured(index, args.p, args.r, unmerged=unmerged))
     else:
-        if args.format == "plain":
-            text = render_plain(index, var=args.var)
-        elif args.format == "latex":
-            text = render_latex(index, var=args.var)
-        else:
-            text = render_structured(index, args.p, args.r)
-    print(text)
+        render = render_latex if args.format == "latex" else render_plain
+        print(render(index, var=args.var, unmerged=unmerged))
     return 0
 
 
-def _check_pn(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    _require(parser, args.p >= 1, f"p must be >= 1, got {args.p}")
-    _require(parser, args.n >= 1, f"n must be >= 1, got {args.n}")
-    _require(parser, args.p <= args.limit,
-             f"p={args.p} exceeds the ceiling {args.limit} (use --limit to raise it)")
-
-
 def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_pn(parser, args)
     poly = plex_polynomial(args.p, args.n)
     print(f"p={args.p} n={args.n} degree={poly.degree}")
     for exponent, coeff in enumerate(poly.coeffs):
@@ -130,20 +112,11 @@ def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_pn(parser, args)
     print(plex_count(args.p, args.n))
     return 0
 
 
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require(parser, args.max_p >= 1, f"max-p must be >= 1, got {args.max_p}")
-    _require(parser, args.max_n >= 1, f"max-n must be >= 1, got {args.max_n}")
-    _require(parser, args.max_p <= args.limit,
-             f"max-p={args.max_p} exceeds the ceiling {args.limit} "
-             f"(use --limit to raise it)")
-    _require(parser, args.max_n <= args.limit,
-             f"max-n={args.max_n} exceeds the ceiling {args.limit} "
-             f"(use --limit to raise it)")
     header = ["p"] + [f"n={n}" for n in range(1, args.max_n + 1)]
     rows = [[str(p)] + [str(plex_count(p, n)) for n in range(1, args.max_n + 1)]
             for p in range(1, args.max_p + 1)]
@@ -167,6 +140,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for dest in ("p", "max_p", "max_n"):
+            value = getattr(args, dest, None)
+            if value is not None and value > args.limit:
+                parser.error(f"{dest.replace('_', '-')}={value} exceeds the ceiling "
+                             f"{args.limit} (use --limit to raise it)")
         return args.handler(parser, args)
     except SystemExit as exc:
         code = exc.code

@@ -2,10 +2,12 @@
 
 The fixture freezes previously published values: a table of plex counts, six
 fully expanded cycle indices, the unmerged eleven-term display of Z(S_6^(3)),
-and one known misprint in the published Z(S_8^(4)).  Loading validates the
-data's internal consistency (term degrees, weight sums, the C(7,2) = C(7,3)
-coincidence) so a corrupted fixture fails fast rather than silently blessing
-wrong results.
+and one known misprint in the published Z(S_8^(4)).  Loading requires the
+``plexcount.golden/1`` format tag and every field's JSON type (ints for p, n
+and r, decimal strings for counts and coefficients, read by render's typed
+field and monomial readers), then validates the data's internal consistency
+(term degrees, weight sums, the C(7,2) = C(7,3) coincidence), so a corrupted
+fixture fails fast rather than silently blessing wrong results.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from importlib import resources
 from math import comb, factorial
 
 from .partitions import Partition
+from .render import _field, _monomial
 
+FORMAT = "plexcount.golden/1"
 Formula = dict[Partition, int]
 TermList = tuple[tuple[Partition, int], ...]
 
@@ -34,13 +38,16 @@ def fixture_path():
     return resources.files("plexcount").joinpath("data", "golden.json")
 
 
-def _parse_monomial(raw: dict) -> Partition:
-    return Partition({int(size): mult for size, mult in raw.items()})
+def _key(entry: object, second: str) -> tuple[int, int]:
+    return _field(entry, "p", int), _field(entry, second, int)
 
 
-def _parse_terms(raw_terms) -> list[tuple[Partition, int]]:
-    return [(_parse_monomial(term["monomial"]), int(term["coeff"]))
-            for term in raw_terms]
+def _parse_term(raw: object) -> tuple[Partition, int]:
+    return _monomial(raw), int(_field(raw, "coeff", str))
+
+
+def _parse_terms(entry: object) -> list[tuple[Partition, int]]:
+    return [_parse_term(term) for term in _field(entry, "terms", list)]
 
 
 def _validate(data: GoldenData) -> None:
@@ -76,23 +83,25 @@ def load_golden() -> GoldenData:
     its dicts without changing any later result.
     """
     raw = json.loads(fixture_path().read_text(encoding="utf-8"))
-    counts = {(entry["p"], entry["n"]): int(entry["count"])
-              for entry in raw["counts"]}
+    if _field(raw, "format", str) != FORMAT:
+        raise ValueError(f"reference data format {raw['format']!r} is not {FORMAT!r}")
+    counts = {_key(entry, "n"): int(_field(entry, "count", str))
+              for entry in _field(raw, "counts", list)}
     formulas = {}
-    for entry in raw["formulas"]:
-        p, r = entry["p"], entry["r"]
+    for entry in _field(raw, "formulas", list):
+        p, r = _key(entry, "r")
         formula: Formula = {}
-        for monomial, coeff in _parse_terms(entry["terms"]):
+        for monomial, coeff in _parse_terms(entry):
             if monomial in formula:
                 raise ValueError(f"duplicate monomial in formula ({p},{r})")
             formula[monomial] = coeff
         formulas[(p, r)] = formula
-    unmerged = {(entry["p"], entry["r"]): tuple(_parse_terms(entry["terms"]))
+    unmerged = {_key(entry, "r"): tuple(_parse_terms(entry))
                 for entry in raw.get("unmerged_formulas", [])}
     discrepancies: dict[tuple[int, int], list] = {}
     for entry in raw.get("known_discrepancies", []):
-        discrepancies.setdefault((entry["p"], entry["r"]), []).append(
-            (_parse_monomial(entry["term"]["monomial"]), int(entry["term"]["coeff"])))
+        discrepancies.setdefault(_key(entry, "r"), []).append(
+            _parse_term(_field(entry, "term", dict)))
     frozen = {key: tuple(value) for key, value in discrepancies.items()}
     data = GoldenData(counts=counts, formulas=formulas,
                       unmerged_formulas=unmerged, known_discrepancies=frozen)

@@ -1,19 +1,22 @@
 """Text renderings of cycle indices and a parseable structured format.
 
-Three formats are supported:
+Three formats, each with one renderer:
 
-* plain: one term per line, ``15 a1^8 a2^6`` style, with a ``1/720 * (...)``
-  wrapper showing the group-order denominator.
-* latex: a single ``\\frac{1}{720}\\left( ... \\right)`` expression with
-  ``a_1^{20}`` style monomials.
-* structured: line-delimited JSON with every weight as a decimal string, one
-  header object followed by one object per term.  parse_structured inverts
-  render_structured exactly.
+* plain (render_plain): one term per line, ``15 a1^8 a2^6`` style, with a
+  ``1/720 * (...)`` wrapper showing the group-order denominator.
+* latex (render_latex): a single ``\\frac{1}{720}\\left( ... \\right)``
+  expression with ``a_1^{20}`` style monomials.
+* structured (render_structured): line-delimited JSON with every weight as a
+  decimal string, one header object followed by one object per term.
+  parse_structured inverts render_structured exactly.
 
-Merged terms are emitted in decreasing-lexicographic order of their exponent
-vectors (the a_1-heavy terms first), so output is byte-stable.  Unmerged
-renderings keep one term per partition of p, in the partitions_of order, and
-label every term with its source partition.
+Each renderer reads rows of ``(source, monomial, weight)``.  By default the
+rows are the merged terms, with no source, in decreasing-lexicographic order
+of their exponent vectors (the a_1-heavy terms first), so output is
+byte-stable.  Given ``unmerged=subset_action_terms(p, r)``, the rows keep one
+term per partition of p, in the partitions_of order, and every term is
+labelled with its source partition.  The JSON reading of typed fields and of
+the ``{"size": mult}`` monomial map lives here too; the golden loader shares it.
 """
 
 from __future__ import annotations
@@ -24,18 +27,23 @@ from typing import Callable, Iterable
 from .cycle_index import CycleIndex
 from .partitions import Partition
 
-UnmergedTerms = Iterable[tuple[Partition, Partition, int]]
-
-
-def term_sort_key(monomial: Partition) -> tuple[int, ...]:
-    """Sort key putting high powers of small cycle sizes first."""
-    mults = dict(monomial)
-    return tuple(-mults.get(size, 0) for size in range(1, monomial.ambient + 1))
+Row = tuple[Partition | None, Partition, int]
 
 
 def ordered_terms(index: CycleIndex) -> list[tuple[Partition, int]]:
-    """The merged terms of a cycle index in rendering order."""
-    return sorted(index.terms.items(), key=lambda item: term_sort_key(item[0]))
+    """The merged terms of a cycle index in rendering order.
+
+    Every term partitions the same number of points, so comparing the pairs
+    orders the exponent vectors decreasing-lexicographically.
+    """
+    return sorted(index.terms.items(),
+                  key=lambda item: tuple((size, -mult) for size, mult in item[0]))
+
+
+def _rows(index: CycleIndex, unmerged: Iterable[Row] | None) -> list[Row]:
+    if unmerged is None:
+        return [(None, monomial, weight) for monomial, weight in ordered_terms(index)]
+    return list(unmerged)
 
 
 def monomial_plain(monomial: Partition, var: str = "a") -> str:
@@ -71,39 +79,32 @@ def _term(monomial: Partition, weight: int, var: str,
     return f"{weight} {body}" if body != "1" else str(weight)
 
 
-def render_plain(index: CycleIndex, var: str = "a") -> str:
+def render_plain(index: CycleIndex, var: str = "a",
+                 unmerged: Iterable[Row] | None = None) -> str:
+    """One term per line; unmerged terms are padded and end ``[from <source>]``."""
+    rows = _rows(index, unmerged)
+    texts = [_term(monomial, weight, var, monomial_plain) for _, monomial, weight in rows]
+    width = max(map(len, texts), default=0)
     lines = [f"1/{index.group_order} * ("]
-    for position, (monomial, weight) in enumerate(ordered_terms(index)):
+    for position, ((source, _, _), text) in enumerate(zip(rows, texts)):
         prefix = "    " if position == 0 else "  + "
-        lines.append(prefix + _term(monomial, weight, var, monomial_plain))
+        lines.append(prefix + (text if source is None
+                               else f"{text:<{width}}   [from {source}]"))
     lines.append(")")
     return "\n".join(lines)
 
 
-def render_latex(index: CycleIndex, var: str = "a") -> str:
-    terms = " + ".join(_term(monomial, weight, var, monomial_latex)
-                       for monomial, weight in ordered_terms(index))
-    return f"\\frac{{1}}{{{index.group_order}}}\\left({terms}\\right)"
-
-
-def render_plain_unmerged(terms: UnmergedTerms, group_order: int, var: str = "a") -> str:
-    rows = [(_term(induced, weight, var, monomial_plain), str(base))
-            for base, induced, weight in terms]
-    width = max(len(text) for text, _ in rows)
-    lines = [f"1/{group_order} * ("]
-    for position, (text, source) in enumerate(rows):
-        prefix = "    " if position == 0 else "  + "
-        lines.append(f"{prefix}{text:<{width}}   [from {source}]")
-    lines.append(")")
-    return "\n".join(lines)
-
-
-def render_latex_unmerged(terms: UnmergedTerms, group_order: int, var: str = "a") -> str:
-    lines = [f"\\frac{{1}}{{{group_order}}}\\bigl("]
-    for position, (base, induced, weight) in enumerate(terms):
-        text = _term(induced, weight, var, monomial_latex)
+def render_latex(index: CycleIndex, var: str = "a",
+                 unmerged: Iterable[Row] | None = None) -> str:
+    """One line; unmerged, one term per line, each ending ``% from <source>``."""
+    rows = _rows(index, unmerged)
+    texts = [_term(monomial, weight, var, monomial_latex) for _, monomial, weight in rows]
+    if unmerged is None:
+        return f"\\frac{{1}}{{{index.group_order}}}\\left({' + '.join(texts)}\\right)"
+    lines = [f"\\frac{{1}}{{{index.group_order}}}\\bigl("]
+    for position, ((source, _, _), text) in enumerate(zip(rows, texts)):
         joiner = "" if position == 0 else "+ "
-        lines.append(f"  {joiner}{text} % from {base}")
+        lines.append(f"  {joiner}{text} % from {source}")
     lines.append("\\bigr)")
     return "\n".join(lines)
 
@@ -113,32 +114,25 @@ def _monomial_record(monomial: Partition) -> dict[str, int]:
 
 
 def render_structured(index: CycleIndex, p: int, r: int,
-                      unmerged: UnmergedTerms | None = None) -> str:
+                      unmerged: Iterable[Row] | None = None) -> str:
     """Line-delimited JSON: a header line, then one line per term.
 
     All weights are decimal strings so no consumer needs big-integer JSON
     support.  With ``unmerged`` the terms keep partition order and carry a
     ``source`` field.
     """
-    merged = unmerged is None
-    if merged:
-        rows = ordered_terms(index)
-        sources: list[Partition | None] = [None] * len(rows)
-    else:
-        materialized = list(unmerged)
-        rows = [(induced, weight) for _, induced, weight in materialized]
-        sources = [base for base, _, _ in materialized]
+    rows = _rows(index, unmerged)
     header = {
         "kind": "cycle-index",
         "p": p,
         "r": r,
         "points": index.ambient_points,
         "group_order": str(index.group_order),
-        "merged": merged,
+        "merged": unmerged is None,
         "terms": len(rows),
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for (monomial, weight), source in zip(rows, sources):
+    for source, monomial, weight in rows:
         record = {"weight": str(weight), "monomial": _monomial_record(monomial)}
         if source is not None:
             record["source"] = _monomial_record(source)
@@ -154,6 +148,12 @@ def _field(record: object, key: str, kind: type):
     if type(value) is not kind:
         raise ValueError(f"expected {key!r} of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _monomial(record: object) -> Partition:
+    """``record["monomial"]``, a ``{"size": mult}`` map, as a Partition (ValueError if bad)."""
+    raw = _field(record, "monomial", dict)
+    return Partition({int(size): mult for size, mult in raw.items()})
 
 
 def parse_structured(text: str) -> CycleIndex:
@@ -175,8 +175,7 @@ def parse_structured(text: str) -> CycleIndex:
     terms: dict[Partition, int] = {}
     for line in lines[1:]:
         record = json.loads(line)
-        monomial = Partition({int(size): mult
-                              for size, mult in _field(record, "monomial", dict).items()})
+        monomial = _monomial(record)
         terms[monomial] = terms.get(monomial, 0) + int(_field(record, "weight", str))
     return CycleIndex(terms, group_order=int(_field(header, "group_order", str)),
                       ambient_points=_field(header, "points", int))

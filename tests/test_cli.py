@@ -127,6 +127,30 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_guards_exit_2_before_computing(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError(f"computation called with {args} past a guard")
+
+    for name in ("plex_count", "plex_polynomial", "cycle_index_subset_action",
+                 "subset_action_terms"):
+        monkeypatch.setattr(f"plexcount.cli.{name}", fail)
+    for argv, message in (
+            (["count", "--p", "x", "--n", "1"], "argument --p: invalid"),
+            (["poly", "--p", "3", "--n", "-1"], "argument --n: must be >= 1, got -1"),
+            (["table", "--max-p", "0"], "argument --max-p: must be >= 1, got 0"),
+            (["cycle-index", "--p", "3", "--r", "0"], "argument --r: must be >= 1, got 0"),
+            (["cycle-index", "--p", "3", "--r", "4", "--unmerged"],
+             "r must satisfy 1 <= r <= p, got r=4"),
+            (["poly", "--p", "13", "--n", "1"],
+             "p=13 exceeds the ceiling 12 (use --limit to raise it)"),
+            (["cycle-index", "--p", "8", "--r", "2", "--limit", "7"],
+             "p=8 exceeds the ceiling 7 (use --limit to raise it)")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_table_max_n_over_ceiling_exits_2_without_computing(capsys, monkeypatch):
     def fail(p, n):
         raise AssertionError(f"plex_count({p}, {n}) called past the guardrail")

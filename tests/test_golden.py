@@ -86,3 +86,26 @@ def test_loader_rejects_non_integer_exponents(monkeypatch, tmp_path):
     monkeypatch.setattr(golden, "fixture_path", lambda: corrupted)
     with pytest.raises(ValueError):
         load_golden()
+
+
+def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_path):
+    def float_count(raw):
+        entry = next(e for e in raw["counts"] if (e["p"], e["n"]) == (8, 1))
+        entry["count"] = 12346.9
+
+    def bool_coeff(raw):
+        term = raw["formulas"][0]["terms"][0]
+        assert term["coeff"] == "1"
+        term["coeff"] = True
+
+    def other_format(raw):
+        raw["format"] = "plexcount.golden/2"
+
+    corrupted = tmp_path / "golden.json"
+    monkeypatch.setattr(golden, "fixture_path", lambda: corrupted)
+    for corrupt in (float_count, bool_coeff, other_format):
+        raw = json.loads(fixture_path().read_text(encoding="utf-8"))
+        corrupt(raw)
+        corrupted.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_golden()

@@ -7,13 +7,27 @@ import pytest
 from plexcount.cycle_index import cycle_index_subset_action, subset_action_terms
 from plexcount.partitions import Partition
 from plexcount.render import (monomial_latex, monomial_plain, ordered_terms,
-                              parse_structured, render_latex, render_latex_unmerged,
-                              render_plain, render_plain_unmerged, render_structured)
+                              parse_structured, render_latex, render_plain,
+                              render_structured)
 
 LATEX_6_3 = ("\\frac{1}{720}\\left("
              "a_1^{20} + 15 a_1^8 a_2^6 + 45 a_1^4 a_2^8 + 80 a_1^2 a_3^6"
              " + 120 a_1^2 a_3^2 a_6^2 + 15 a_2^{10} + 180 a_2^2 a_4^4"
              " + 120 a_2 a_6^3 + 144 a_5^4\\right)")
+PLAIN_4_2_UNMERGED = ("1/24 * (\n"
+                      "    6 a2 a4       [from 4]\n"
+                      "  + 8 a3^2        [from 3+1]\n"
+                      "  + 3 a1^2 a2^2   [from 2+2]\n"
+                      "  + 6 a1^2 a2^2   [from 2+1+1]\n"
+                      "  + a1^6          [from 1+1+1+1]\n"
+                      ")")
+LATEX_4_2_UNMERGED = ("\\frac{1}{24}\\bigl(\n"
+                      "  6 a_2 a_4 % from 4\n"
+                      "  + 8 a_3^2 % from 3+1\n"
+                      "  + 3 a_1^2 a_2^2 % from 2+2\n"
+                      "  + 6 a_1^2 a_2^2 % from 2+1+1\n"
+                      "  + a_1^6 % from 1+1+1+1\n"
+                      "\\bigr)")
 
 
 def test_monomial_plain():
@@ -37,6 +51,18 @@ def test_ordered_terms_put_identity_term_first():
             assert terms[0][0].sizes() == (1,)  # pure a_1 power leads
 
 
+def test_ordered_terms_sort_exponent_vectors_descending():
+    # the rendering order by its definition: the vector (mult of a_1, a_2, ...,
+    # a_points) of each term, largest first
+    for p in range(1, 10):
+        for r in range(1, p + 1):
+            z = cycle_index_subset_action(p, r)
+            vectors = [tuple(dict(monomial).get(size, 0)
+                             for size in range(1, z.ambient_points + 1))
+                       for monomial, _ in ordered_terms(z)]
+            assert vectors == sorted(vectors, reverse=True)
+
+
 def test_render_plain_s3():
     assert render_plain(cycle_index_subset_action(3, 1)) == (
         "1/6 * (\n"
@@ -56,7 +82,7 @@ def test_render_latex_variable_flag():
 
 
 def test_render_plain_unmerged_labels_sources():
-    text = render_plain_unmerged(subset_action_terms(6, 3), 720)
+    text = render_plain(cycle_index_subset_action(6, 3), unmerged=subset_action_terms(6, 3))
     lines = [line for line in text.splitlines() if "40 a1^2 a3^6" in line]
     assert len(lines) == 2
     assert any("[from 3+3]" in line for line in lines)
@@ -64,9 +90,16 @@ def test_render_plain_unmerged_labels_sources():
 
 
 def test_render_latex_unmerged_labels_sources():
-    text = render_latex_unmerged(subset_action_terms(6, 3), 720)
+    text = render_latex(cycle_index_subset_action(6, 3), unmerged=subset_action_terms(6, 3))
     assert text.count("90 a_2^2 a_4^4") == 2
     assert "% from 4+2" in text and "% from 4+1+1" in text
+
+
+def test_render_unmerged_4_2_frozen():
+    z, terms = cycle_index_subset_action(4, 2), subset_action_terms(4, 2)
+    assert render_plain(z, unmerged=terms) == PLAIN_4_2_UNMERGED
+    assert render_latex(z, unmerged=terms) == LATEX_4_2_UNMERGED
+    assert render_plain(z, var="y", unmerged=terms) == PLAIN_4_2_UNMERGED.replace("a", "y")
 
 
 def test_structured_roundtrip():

@@ -14,8 +14,9 @@ Subcommands:
 Exit status is 0 on success, 1 when ``verify`` finds a mismatch, and 2 for
 usage errors.  Each argument has one guard, and all run before any work:
 ``--p/--n/--r/--max-p/--max-n`` parse as ints >= 1, ``cycle-index`` needs
-r <= p, and ``main`` holds ``--p/--max-p/--max-n`` to one ceiling (default
-12), a guardrail against accidental huge runs that ``--limit`` raises.
+r <= p and takes ``--var`` only with plain or latex output, and ``main``
+holds ``--p/--max-p/--max-n`` to one ceiling (default 12), a guardrail
+against accidental huge runs that ``--limit`` raises.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="plain", help="output format (default %(default)s)")
     ci.add_argument("--unmerged", action="store_true",
                     help="one term per partition of p, labelled with its source")
-    ci.add_argument("--var", choices=("a", "y"), default="a",
-                    help="variable letter (default %(default)s)")
+    ci.add_argument("--var", choices=("a", "y"),
+                    help="variable letter of plain and latex output (default a)")
     _add_limit(ci)
     ci.set_defaults(handler=_cmd_cycle_index)
 
@@ -92,13 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_cycle_index(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.r > args.p:
         parser.error(f"r must satisfy 1 <= r <= p, got r={args.r}")
+    if args.format == "json-like" and args.var is not None:
+        parser.error("--var applies only to plain and latex output")
     index = cycle_index_subset_action(args.p, args.r)
     unmerged = subset_action_terms(args.p, args.r) if args.unmerged else None
     if args.format == "json-like":
         print(render_structured(index, args.p, args.r, unmerged=unmerged))
     else:
         render = render_latex if args.format == "latex" else render_plain
-        print(render(index, var=args.var, unmerged=unmerged))
+        print(render(index, var=args.var or "a", unmerged=unmerged))
     return 0
 
 

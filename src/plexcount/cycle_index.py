@@ -7,9 +7,11 @@ alone, with no explicit permutations: a subset is fixed exactly when it is
 a union of whole cycles, which gives the number of 1-cycles of every power
 of the induced permutation, and the full induced cycle type follows by
 inversion over the divisors of the base permutation's order.  That walk
-runs on plain ints and dicts; fixed_subset_count and
-partitions.power_cycle_type are the definitions it follows, kept public as
-the reference the tests compare it against.
+runs on plain ints, with the short cycles of each power in a list indexed by
+cycle length, and builds its result directly as the canonical Partition
+tuple.  fixed_subset_count and partitions.power_cycle_type are the
+definitions it follows, kept public as the reference the tests compare it
+against.
 
 Everything here is exact integer arithmetic.  Any division that comes out
 inexact, or any negative intermediate multiplicity, raises ArithmeticError
@@ -116,7 +118,10 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
     The walk computes that fixed count on ints alone.  Each k-cycle of the
     base becomes gcd(m, k) cycles of length k / gcd(m, k) in the m-th power,
     and only lengths up to r are kept, since a longer cycle lies in no fixed
-    r-subset.  One Partition is built, and validated, at the end.
+    r-subset, so a list indexed by cycle length 0..r holds them.  The
+    multiplicities are recorded in increasing divisor order and only when
+    positive, so the result is built directly as the canonical Partition
+    tuple, with no re-sorting or re-validation.
     """
     p = base.ambient
     if not 1 <= r <= p:
@@ -127,16 +132,16 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
     mult: dict[int, int] = {}
     covered = 0
     for m in _divisors(order):
-        short: dict[int, int] = {}
+        short = [0] * (r + 1)
         for size, count in base:
             g = gcd(m, size)
             if size <= r * g:
-                short[size // g] = short.get(size // g, 0) + g * count
+                short[size // g] += g * count
         fixed = 0
         for sub in subsets:
             ways = 1
             for length, needed in sub:
-                ways *= comb(short.get(length, 0), needed)
+                ways *= comb(short[length], needed)
                 if not ways:
                     break
             fixed += ways
@@ -156,7 +161,7 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
     if covered != points:
         raise ArithmeticError(
             f"induced cycle type of {base!r} covers {covered} of {points} points")
-    return Partition(mult)
+    return tuple.__new__(Partition, mult.items())
 
 
 @lru_cache(maxsize=128)

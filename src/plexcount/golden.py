@@ -4,29 +4,29 @@ The fixture freezes previously published values: a table of plex counts, six
 fully expanded cycle indices, the unmerged eleven-term display of Z(S_6^(3)),
 and one known misprint in the published Z(S_8^(4)).  Loading requires the
 ``plexcount.golden/1`` format tag and every field's JSON type (ints for p, n
-and r, decimal strings for counts and coefficients, read by render's typed
-field and monomial readers), then validates the data's internal consistency
-(term degrees, weight sums, the C(7,2) = C(7,3) coincidence), so a corrupted
-fixture fails fast rather than silently blessing wrong results.
+and r, ASCII decimal strings for counts and coefficients, read by render's
+typed field, decimal and monomial readers), then validates the data's
+internal consistency (term degrees, weight sums, the C(7,2) = C(7,3)
+coincidence), so a corrupted fixture fails fast rather than silently
+blessing wrong results.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from math import comb, factorial
+from typing import NamedTuple
 
 from .partitions import Partition
-from .render import _field, _monomial
+from .render import _decimal, _field, _monomial
 
 FORMAT = "plexcount.golden/1"
 Formula = dict[Partition, int]
 TermList = tuple[tuple[Partition, int], ...]
 
 
-@dataclass(frozen=True)
-class GoldenData:
+class GoldenData(NamedTuple):
     counts: dict[tuple[int, int], int]
     formulas: dict[tuple[int, int], Formula]
     unmerged_formulas: dict[tuple[int, int], TermList]
@@ -43,7 +43,7 @@ def _key(entry: object, second: str) -> tuple[int, int]:
 
 
 def _parse_term(raw: object) -> tuple[Partition, int]:
-    return _monomial(raw), int(_field(raw, "coeff", str))
+    return _monomial(raw), _decimal(_field(raw, "coeff", str))
 
 
 def _parse_terms(entry: object) -> list[tuple[Partition, int]]:
@@ -85,7 +85,7 @@ def load_golden() -> GoldenData:
     raw = json.loads(fixture_path().read_text(encoding="utf-8"))
     if _field(raw, "format", str) != FORMAT:
         raise ValueError(f"reference data format {raw['format']!r} is not {FORMAT!r}")
-    counts = {_key(entry, "n"): int(_field(entry, "count", str))
+    counts = {_key(entry, "n"): _decimal(_field(entry, "count", str))
               for entry in _field(raw, "counts", list)}
     formulas = {}
     for entry in _field(raw, "formulas", list):

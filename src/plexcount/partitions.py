@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class Partition(tuple):
@@ -76,27 +76,35 @@ class Partition(tuple):
         return "+".join(str(size) for size in self.to_sizes())
 
 
-def _descending_part_lists(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # Largest-first recursion emits part lists in decreasing-lexicographic order.
-    if remaining == 0:
-        yield ()
-        return
-    for first in range(min(remaining, cap), 0, -1):
-        for rest in _descending_part_lists(remaining - first, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=128)
 def partitions_of(p: int) -> tuple[Partition, ...]:
     """All integer partitions of p, in decreasing-lexicographic part order.
 
     partitions_of(4) lists [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
     partitions_of(0) is the single empty partition, which the subset-count
-    loops rely on.  The result is cached; it is an immutable tuple.
+    loops rely on.  Partitions are generated directly in multiplicity form:
+    the largest size first and then its multiplicity, both descending, with
+    the rest a partition into smaller sizes.  Each comes out as ascending
+    (size, positive multiplicity) pairs, already the canonical Partition
+    tuple, so none is re-sorted or re-validated.  The result is cached; it is
+    an immutable tuple.
     """
     if p < 0:
         raise ValueError(f"cannot partition {p}")
-    return tuple(Partition.from_sizes(sizes) for sizes in _descending_part_lists(p, p))
+    # by_total[n] lists the partitions of n into sizes <= cap, as ascending
+    # pairs in decreasing-lexicographic order.  Raising the cap puts those
+    # whose largest size is the new cap first, largest multiplicity first.
+    # Only the totals a partition of p can still need are built: p itself,
+    # and those below p - cap, since any larger size leaves at most that.
+    by_total = [[()]] + [[]] * p
+    for cap in range(1, p + 1):
+        previous = by_total
+        by_total = [[rest + ((cap, mult),)
+                     for mult in range(n // cap, 0, -1)
+                     for rest in previous[n - cap * mult]] + previous[n]
+                    if n < p - cap or n == p else None
+                    for n in range(p + 1)]
+    return tuple(tuple.__new__(Partition, pairs) for pairs in by_total[p])
 
 
 def permutation_count(cycle_type: Partition) -> int:

@@ -15,8 +15,9 @@ rows are the merged terms, with no source, in decreasing-lexicographic order
 of their exponent vectors (the a_1-heavy terms first), so output is
 byte-stable.  Given ``unmerged=subset_action_terms(p, r)``, the rows keep one
 term per partition of p, in the partitions_of order, and every term is
-labelled with its source partition.  The JSON reading of typed fields and of
-the ``{"size": mult}`` monomial map lives here too; the golden loader shares it.
+labelled with its source partition.  The JSON reading of typed fields, of
+strict decimal strings and of the ``{"size": mult}`` monomial map lives here
+too; the golden loader shares it.
 """
 
 from __future__ import annotations
@@ -150,10 +151,21 @@ def _field(record: object, key: str, kind: type):
     return value
 
 
+def _decimal(text: str) -> int:
+    """A decimal string of ASCII digits as an int; ValueError for anything else.
+
+    Plain ``int`` would also take signs, whitespace, underscores and non-ASCII
+    digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a decimal string of ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _monomial(record: object) -> Partition:
     """``record["monomial"]``, a ``{"size": mult}`` map, as a Partition (ValueError if bad)."""
     raw = _field(record, "monomial", dict)
-    return Partition({int(size): mult for size, mult in raw.items()})
+    return Partition({_decimal(size): mult for size, mult in raw.items()})
 
 
 def parse_structured(text: str) -> CycleIndex:
@@ -176,6 +188,6 @@ def parse_structured(text: str) -> CycleIndex:
     for line in lines[1:]:
         record = json.loads(line)
         monomial = _monomial(record)
-        terms[monomial] = terms.get(monomial, 0) + int(_field(record, "weight", str))
-    return CycleIndex(terms, group_order=int(_field(header, "group_order", str)),
+        terms[monomial] = terms.get(monomial, 0) + _decimal(_field(record, "weight", str))
+    return CycleIndex(terms, group_order=_decimal(_field(header, "group_order", str)),
                       ambient_points=_field(header, "points", int))

@@ -18,8 +18,8 @@ Each check yields a CheckResult; a scope passes iff all its results pass.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .counting import plex_count, plex_polynomial
 from .cycle_index import cycle_index_subset_action, induced_cycle_type, subset_action_terms
@@ -35,8 +35,7 @@ BURNSIDE_MAX_N = 3
 EXHAUSTIVE_CASES = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -7,10 +7,10 @@ from collections import Counter
 from pathlib import Path
 
 from plexcount.cli import main
-from plexcount.cycle_index import CycleIndex, cycle_index_subset_action
+from plexcount.cycle_index import CycleIndex, cycle_index_subset_action, subset_action_terms
 from plexcount.golden import load_golden
 from plexcount.partitions import partitions_of, permutation_count
-from plexcount.render import parse_structured
+from plexcount.render import parse_structured, render_latex, render_plain
 
 
 def run(capsys, *argv):
@@ -144,7 +144,9 @@ def test_guards_exit_2_before_computing(capsys, monkeypatch):
             (["poly", "--p", "13", "--n", "1"],
              "p=13 exceeds the ceiling 12 (use --limit to raise it)"),
             (["cycle-index", "--p", "8", "--r", "2", "--limit", "7"],
-             "p=8 exceeds the ceiling 7 (use --limit to raise it)")):
+             "p=8 exceeds the ceiling 7 (use --limit to raise it)"),
+            (["cycle-index", "--p", "4", "--r", "2", "--format", "json-like", "--var", "y"],
+             "--var applies only to plain and latex output")):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -197,6 +199,17 @@ def test_verify_oracle_scope(capsys):
     assert "FAIL" not in out
 
 
+def test_var_letter_in_plain_and_latex(capsys):
+    index = cycle_index_subset_action(5, 2)
+    for fmt, render in (("plain", render_plain), ("latex", render_latex)):
+        for extra, unmerged in (([], None), (["--unmerged"], subset_action_terms(5, 2))):
+            argv = ["cycle-index", "--p", "5", "--r", "2", "--format", fmt, *extra]
+            for var, letter in (([], "a"), (["--var", "a"], "a"), (["--var", "y"], "y")):
+                code, out = run(capsys, *argv, *var)
+                assert code == 0
+                assert out == render(index, var=letter, unmerged=unmerged) + "\n"
+
+
 def test_output_deterministic(capsys):
     for argv in (["cycle-index", "--p", "8", "--r", "3", "--format", "latex"],
                  ["poly", "--p", "6", "--n", "2"],
@@ -207,13 +220,16 @@ def test_output_deterministic(capsys):
 
 
 def test_import_loads_only_the_standard_library():
-    # a fresh interpreter, so modules that other tests imported do not count
+    # a fresh interpreter, so modules that other tests imported do not count;
+    # the second list holds standard modules that are slow to import
+    # (dataclasses pulls in inspect and, through it, ast, dis and tokenize)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys; before = set(sys.modules); import plexcount, plexcount.cli; "
              "print(sorted({name.partition('.')[0] for name in sys.modules} "
-             "- before - sys.stdlib_module_names - {'plexcount'}))")
+             "- before - sys.stdlib_module_names - {'plexcount'}), "
+             "sorted(set(sys.modules) & {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[] []\n"

@@ -108,6 +108,17 @@ def test_induced_cycle_type_matches_reference_inversion():
                 assert induced_cycle_type(j, r) == reference_induced_cycle_type(j, r)
 
 
+def test_induced_cycle_type_is_canonical_partition():
+    # the walk builds its result directly: it must be the sorted tuple of
+    # positive multiplicities that the validating constructor makes
+    for p in range(1, 13):
+        for j in partitions_of(p):
+            for r in range(1, p + 1):
+                induced = induced_cycle_type(j, r)
+                assert type(induced) is Partition
+                assert tuple(induced) == tuple(Partition(dict(induced)))
+
+
 # random partitions of p <= 30, with r up to 4: the range plex_count(p, n <= 3) inverts
 PARTITION_AND_R = st.lists(st.integers(1, 30), min_size=1, max_size=30).map(
     lambda parts: [size for size, total in zip(parts, accumulate(parts)) if total <= 30]

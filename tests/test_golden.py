@@ -101,9 +101,21 @@ def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_pa
     def other_format(raw):
         raw["format"] = "plexcount.golden/2"
 
+    def loose_count(raw):
+        entry = next(e for e in raw["counts"] if (e["p"], e["n"]) == (4, 1))
+        assert entry["count"] == "11"
+        entry["count"] = " +1_1 "
+
+    def signed_coeff(raw):
+        raw["formulas"][0]["terms"][0]["coeff"] = "-1"
+
+    def non_ascii_coeff(raw):
+        raw["formulas"][0]["terms"][0]["coeff"] = "\u0661"
+
     corrupted = tmp_path / "golden.json"
     monkeypatch.setattr(golden, "fixture_path", lambda: corrupted)
-    for corrupt in (float_count, bool_coeff, other_format):
+    for corrupt in (float_count, bool_coeff, other_format, loose_count, signed_coeff,
+                    non_ascii_coeff):
         raw = json.loads(fixture_path().read_text(encoding="utf-8"))
         corrupt(raw)
         corrupted.write_text(json.dumps(raw), encoding="utf-8")

@@ -119,6 +119,28 @@ def test_partitions_match_brute_force():
         assert len(generated) == len(partitions_of(p))  # no duplicates emitted
 
 
+def descending_part_lists(remaining, cap):
+    """Part lists, largest part first, in decreasing-lexicographic order."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in descending_part_lists(remaining - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_equals_validated_construction():
+    # partitions_of builds its tuples directly; each must be the canonical
+    # Partition that the validating constructor makes, in the same place
+    for p in range(0, 21):
+        reference = [Partition.from_sizes(sizes) for sizes in descending_part_lists(p, p)]
+        generated = partitions_of(p)
+        assert len(generated) == len(reference)
+        for got, want in zip(generated, reference):
+            assert type(got) is Partition
+            assert tuple(got) == tuple(want)
+
+
 def test_partitions_order_is_decreasing_lex():
     for p in range(0, 15):
         listed = [tuple(j.to_sizes()) for j in partitions_of(p)]

@@ -6,7 +6,7 @@ import pytest
 
 from plexcount.cycle_index import cycle_index_subset_action, subset_action_terms
 from plexcount.partitions import Partition
-from plexcount.render import (monomial_latex, monomial_plain, ordered_terms,
+from plexcount.render import (_decimal, monomial_latex, monomial_plain, ordered_terms,
                               parse_structured, render_latex, render_plain,
                               render_structured)
 
@@ -169,6 +169,24 @@ def test_parse_structured_rejects_non_integer_exponents():
         record["monomial"] = {"1": bad}
         with pytest.raises(ValueError):
             parse_structured("\n".join([header, json.dumps(record), *terms[1:]]))
+
+
+def test_decimal_strings_are_ascii_digits_only():
+    assert _decimal("0") == 0
+    assert _decimal("720") == 720
+    header, *terms = render_structured(cycle_index_subset_action(3, 1), 3, 1).splitlines()
+    assert json.loads(header)["group_order"] == "6"
+    assert json.loads(terms[0]) == {"monomial": {"1": 3}, "weight": "1"}
+    for bad in (" +0_6 ", "0_3", "-1", "", "\u0661\u0662"):
+        with pytest.raises(ValueError):
+            _decimal(bad)
+        edited_header = json.dumps({**json.loads(header), "group_order": bad})
+        edited_weight = json.dumps({"monomial": {"1": 3}, "weight": bad})
+        edited_size = json.dumps({"monomial": {bad: 3}, "weight": "1"})
+        for document in ([edited_header, *terms], [header, edited_weight, *terms[1:]],
+                         [header, edited_size, *terms[1:]]):
+            with pytest.raises(ValueError):
+                parse_structured("\n".join(document))
 
 
 def test_rendering_deterministic():

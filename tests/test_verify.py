@@ -26,6 +26,17 @@ def test_check_result_line_format():
     assert CheckResult("thing", False, "boom").line() == "FAIL thing: boom"
 
 
+def test_results_are_immutable_records():
+    result = CheckResult("thing", True)
+    assert result.detail == ""
+    assert repr(result) == "CheckResult(name='thing', passed=True, detail='')"
+    data = load_golden()
+    assert repr(data).startswith("GoldenData(counts={")
+    for record, field in ((result, "passed"), (data, "counts")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_check_counts_reports_wrong_values(monkeypatch, capsys):
     monkeypatch.setattr(verify, "plex_count", lambda p, n: 0)
     results = check_counts()

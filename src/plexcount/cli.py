@@ -16,7 +16,9 @@ usage errors.  Each argument has one guard, and all run before any work:
 ``--p/--n/--r/--max-p/--max-n`` parse as ints >= 1, ``cycle-index`` needs
 r <= p and takes ``--var`` only with plain or latex output, and ``main``
 holds ``--p/--max-p/--max-n`` to one ceiling (default 12), a guardrail
-against accidental huge runs that ``--limit`` raises.
+against accidental huge runs that ``--limit`` raises.  While a command
+runs, ``main`` lifts Python's limit on the digits of an int printed in
+decimal, and restores it on return.
 """
 
 from __future__ import annotations
@@ -148,7 +150,14 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and value > args.limit:
                 parser.error(f"{dest.replace('_', '-')}={value} exceeds the ceiling "
                              f"{args.limit} (use --limit to raise it)")
-        return args.handler(parser, args)
+        # counts and coefficients can run past the default 4300-digit limit
+        # on int-to-str conversion; lift it for this command only
+        digits_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return args.handler(parser, args)
+        finally:
+            sys.set_int_max_str_digits(digits_limit)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -5,6 +5,15 @@ of (n+1)-element subsets, so counting n-plexes up to isomorphism is counting
 orbits of S_p on those subset families.  Substituting 1 + x into the cycle
 index of the action on (n+1)-subsets yields the counting polynomial whose
 x^k coefficient is the number of n-plexes with exactly k n-simplexes.
+
+All polynomial products here are Kronecker substitutions: coefficients go
+into fixed-width byte slots of one big integer, so a product is one
+big-integer multiply or power.  A slot is wide enough when it holds the
+product's value at x = 1, which bounds every coefficient when none is
+negative.  substitute keeps each cycle-index term packed from first factor
+to last, widening its slots as factors come in, and for a palindromic
+figure such as 1 + x it computes only the lower half of every term and
+mirrors it (see substitute).
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ class IntPolynomial:
     so a product is a single big-integer multiply (or power) followed by
     unpacking.  Slot widths come from a proven bound on the result's largest
     coefficient, which holds only for nonnegative coefficients; both
-    operations raise ValueError on a negative one.
+    operations raise ValueError on a negative one.  substitute does not go
+    through them: it packs each term once and multiplies packed ints.
     """
 
     __slots__ = ("coeffs",)
@@ -76,7 +86,8 @@ class IntPolynomial:
         # each at most max(a) * max(b)
         bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
         width = (bits + 7) // 8
-        return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
+        return IntPolynomial(
+            _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1))
 
     def __pow__(self, exponent: int) -> "IntPolynomial":
         if exponent < 0:
@@ -88,8 +99,9 @@ class IntPolynomial:
         if not a:
             return IntPolynomial()
         # with nonnegative coefficients none exceeds the value at x = 1
-        width = ((sum(a) ** exponent).bit_length() + 7) // 8
-        return _unpack(_pack(a, width) ** exponent, width, (len(a) - 1) * exponent + 1)
+        width = _slot_width(sum(a) ** exponent)
+        return IntPolynomial(
+            _unpack(_pack(a, width) ** exponent, width, (len(a) - 1) * exponent + 1))
 
     def scale(self, factor: int) -> "IntPolynomial":
         return IntPolynomial(c * factor for c in self.coeffs)
@@ -138,16 +150,38 @@ def _require_nonnegative(coeffs: tuple[int, ...]) -> None:
             f"packed multiply needs nonnegative coefficients, got {min(coeffs)}")
 
 
+def _slot_width(bound: int) -> int:
+    """Bytes per slot that hold every value up to ``bound`` (at least one)."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
     """Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width)."""
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
 
-def _unpack(packed: int, width: int, length: int) -> IntPolynomial:
-    """Inverse of _pack for ``length`` slots; exact when no slot overflowed."""
+def _unpack(packed: int, width: int, length: int) -> list[int]:
+    """Inverse of _pack: all ``length`` slots, zeros kept; exact when none overflowed."""
     data = packed.to_bytes(width * length, "little")
-    return IntPolynomial([int.from_bytes(data[i:i + width], "little")
-                          for i in range(0, len(data), width)])
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def _repack(packed: int, width: int, new_width: int, step: int, slots: int) -> int:
+    """Move the low ``slots`` slots of ``packed`` to slot i * step of ``new_width`` bytes.
+
+    That is stretch(step) done on the packed form, into slots at least as
+    wide; slots from ``slots`` on are dropped.  It costs one strided byte
+    copy per byte of the old width, however many slots there are.
+    """
+    packed &= (1 << (8 * width * slots)) - 1
+    if new_width == width and step == 1:
+        return packed
+    data = packed.to_bytes(width * slots, "little")
+    out = bytearray(new_width * (step * (slots - 1) + 1))
+    stride = new_width * step
+    for j in range(width):
+        out[j::stride] = data[j::width]
+    return int.from_bytes(out, "little")
 
 
 ONE = IntPolynomial((1,))
@@ -161,19 +195,49 @@ def substitute(index: CycleIndex, figure: IntPolynomial) -> IntPolynomial:
     w * prod_k figure(x^k)**m_k; the sum over terms is divided coefficient by
     coefficient by the group order.  For a genuine cycle index and an integer
     figure polynomial that division is exact; a remainder is an internal
-    error and raises ArithmeticError.
+    error and raises ArithmeticError.  The figure needs nonnegative
+    coefficients (ValueError otherwise), which bound every coefficient of a
+    product by its value at x = 1.
+
+    Each term stays one packed integer from start to finish.  After factors
+    with P cycles in all, its slots are as wide as figure(1)**P needs;
+    figure(x^k)**m is packed at the width of figure(1)**m, raised to the
+    power m, and moved to the wider slots and stretched by k in one
+    _repack.  Weighted terms are summed in slots as wide as the sum over
+    terms of w * figure(1)**P, and unpacked once.
+
+    A palindromic figure of degree d makes every term palindromic of degree
+    d * N, N the number of points acted on: stretching and multiplying keep
+    palindromes palindromic, their degrees adding.  So only the slots up to
+    the middle one are kept, cut back after every product (a product's low
+    slots depend only on its operands' low slots), and the upper half is
+    their mirror image.  Any other figure keeps every slot and mirrors none.
     """
-    total: list[int] = []
+    f = figure.coeffs
+    _require_nonnegative(f)
+    at_one = sum(f)
+    # the zero figure counts as degree 0: every term with a cycle is then 0
+    figure_degree = max(len(f) - 1, 0)
+    degree = figure_degree * index.ambient_points
+    slots = degree // 2 + 1 if f == f[::-1] else degree + 1
+    width = _slot_width(sum(weight * at_one ** cycle_type.num_parts()
+                            for cycle_type, weight in index.terms.items()))
+    total = 0
     for cycle_type, weight in index.terms.items():
-        term = ONE
+        term, term_width, term_slots, parts = 1, 1, 1, 0
         for size, mult in cycle_type:
-            # powering before spreading keeps the packed operand short
-            term = term * (figure ** mult).stretch(size)
-        if len(total) < len(term.coeffs):
-            total.extend([0] * (len(term.coeffs) - len(total)))
-        for exponent, c in enumerate(term.coeffs):
-            total[exponent] += weight * c
-    return IntPolynomial(total).exact_div(index.group_order)
+            power_width = _slot_width(at_one ** mult)
+            power = _pack(f, power_width) ** mult
+            parts += mult
+            new_width = _slot_width(at_one ** parts)
+            power_slots = min(figure_degree * mult, (slots - 1) // size) + 1
+            factor = _repack(power, power_width, new_width, size, power_slots)
+            term = _repack(term, term_width, new_width, 1, term_slots) * factor
+            term_width = new_width
+            term_slots = min(slots, term_slots + (power_slots - 1) * size)
+        total += weight * _repack(term, term_width, width, 1, term_slots)
+    half = _unpack(total, width, slots)
+    return IntPolynomial(half + half[:degree + 1 - slots][::-1]).exact_div(index.group_order)
 
 
 def plex_polynomial(p: int, n: int) -> IntPolynomial:

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 from plexcount.cli import main
+from plexcount.counting import plex_count
 from plexcount.cycle_index import CycleIndex, cycle_index_subset_action, subset_action_terms
 from plexcount.golden import load_golden
 from plexcount.partitions import partitions_of, permutation_count
@@ -29,6 +31,19 @@ def test_count_command_big_value(capsys):
     code, out = run(capsys, "count", "--p", "9", "--n", "3")
     assert code == 0
     assert out == "234431745534048922731115555415680\n"
+
+
+def test_count_command_past_the_int_to_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "count", "--p", "26", "--n", "3", "--limit", "26")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    digits = out.strip()
+    assert digits.isdigit() and len(digits) > limit
+    # Decimal reads any number of digits, so the check needs no raised limit
+    assert int(Decimal(digits)) == plex_count(26, 3)
+    assert run(capsys, "count", "--p", "26", "--n", "3")[0] == 2
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_poly_command(capsys):

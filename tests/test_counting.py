@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plexcount import counting
 from plexcount.counting import (ONE, ONE_PLUS_X, IntPolynomial, plex_count,
                                 plex_polynomial, substitute)
-from plexcount.cycle_index import cycle_index_subset_action
+from plexcount.cycle_index import CycleIndex, cycle_index_subset_action
+from plexcount.partitions import Partition
 
 # totals for 1 <= p <= 9, 1 <= n <= 3, frozen reference values
 KNOWN_COUNTS = {
@@ -132,6 +134,88 @@ def _naive_substitute(index, figure):
 def test_substitute_matches_term_by_term_reference(pr, figure):
     index = cycle_index_subset_action(*pr)
     assert substitute(index, IntPolynomial(figure)) == _naive_substitute(index, figure)
+
+
+def _palindrome(end, inner, middle):
+    return [end, *inner, *middle, *inner[::-1], end]
+
+
+# nonzero end coefficients, so that IntPolynomial strips nothing and the
+# figure stays palindromic; with and without a middle coefficient
+PALINDROMES = st.builds(_palindrome, st.integers(1, 2 ** 70),
+                        st.lists(st.integers(0, 2 ** 70), max_size=2),
+                        st.lists(st.integers(0, 2 ** 70), max_size=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p))),
+       PALINDROMES)
+def test_substitute_palindromic_figure_matches_term_by_term_reference(pr, figure):
+    assert figure == figure[::-1]
+    index = cycle_index_subset_action(*pr)
+    assert substitute(index, IntPolynomial(figure)) == _naive_substitute(index, figure)
+
+
+def test_substitute_degenerate_and_odd_even_figures():
+    parities = set()
+    for p, r in ((3, 1), (4, 1), (4, 2), (5, 2), (5, 3)):
+        index = cycle_index_subset_action(p, r)
+        points = index.ambient_points
+        parities.add(points % 2)
+        # ONE, x (not palindromic), and palindromes of odd degree, so that
+        # degree * points takes both parities, and of even degree
+        for figure in ([1], [0, 1], [1, 1], [2, 5, 5, 2], [3, 0, 1, 0, 3], [1, 0, 1]):
+            assert substitute(index, IntPolynomial(figure)) == _naive_substitute(index, figure)
+        assert substitute(index, IntPolynomial((0, 1))) == IntPolynomial([0] * points + [1])
+        assert substitute(index, IntPolynomial()) == IntPolynomial()
+    assert parities == {0, 1}
+    # no points at all: the one term is the empty product, whatever the figure
+    empty = CycleIndex({Partition(()): 1}, 1, 0)
+    assert substitute(empty, IntPolynomial()) == ONE
+    assert substitute(empty, ONE_PLUS_X) == ONE
+
+
+@pytest.mark.parametrize("figure", [(1, -1, 1), (-1,), (2, -3), (0, -1)])
+def test_substitute_rejects_negative_coefficients(figure):
+    with pytest.raises(ValueError):
+        substitute(cycle_index_subset_action(4, 2), IntPolynomial(figure))
+
+
+def test_inexact_division_raises(monkeypatch):
+    # weights sum to the group order 3, but the weighted totals are not
+    # multiples of it: 2 * (1+x)^2 + (1+x^2) = 3 + 4x + 3x^2, and 2*2^2 + 2 = 10
+    bad = CycleIndex({Partition({1: 2}): 2, Partition({2: 1}): 1}, 3, 2)
+    monkeypatch.setattr(counting, "cycle_index_subset_action", lambda p, r: bad)
+    with pytest.raises(ArithmeticError):
+        plex_count(2, 1)
+    with pytest.raises(ArithmeticError):
+        plex_polynomial(2, 1)
+    with pytest.raises(ArithmeticError):
+        substitute(bad, ONE_PLUS_X)
+
+
+# Schwartz-Zippel: a polynomial of degree D that is wrong in any coefficient
+# agrees with the right one at no more than D of the q points mod q
+MODULUS = 2 ** 61 - 1
+POINTS = (3, 1 << 40 | 1, 1234567890123456789)
+
+
+@pytest.mark.parametrize("p, n", [(11, 5), (12, 3), (11, 4), (18, 1), (14, 3), (22, 1)])
+def test_plex_polynomial_agrees_with_cycle_index_at_points_mod_q(p, n):
+    index = cycle_index_subset_action(p, n + 1)
+    coeffs = plex_polynomial(p, n).coeffs
+    inverse_order = pow(index.group_order, -1, MODULUS)
+    for x0 in POINTS:
+        left = 0
+        for c in reversed(coeffs):
+            left = (left * x0 + c) % MODULUS
+        right = 0
+        for cycle_type, weight in index.terms.items():
+            term = weight
+            for size, mult in cycle_type:
+                term = term * pow(1 + pow(x0, size, MODULUS), mult, MODULUS) % MODULUS
+            right = (right + term) % MODULUS
+        assert left == right * inverse_order % MODULUS
 
 
 def test_polynomial_scale_and_stretch():

@@ -265,8 +265,12 @@ def plex_count(p: int, n: int) -> int:
     if p < n + 1:
         return 1
     index = cycle_index_subset_action(p, n + 1)
-    doubled = sum(weight * 2 ** cycle_type.num_parts()
-                  for cycle_type, weight in index.terms.items())
+    doubled = 0
+    for cycle_type, weight in index.terms.items():
+        cycles = 0
+        for _, mult in cycle_type:
+            cycles += mult
+        doubled += weight << cycles
     quotient, remainder = divmod(doubled, index.group_order)
     if remainder:
         raise ArithmeticError(

@@ -9,9 +9,14 @@ of the induced permutation, and the full induced cycle type follows by
 inversion over the divisors of the base permutation's order.  That walk
 runs on plain ints, with the short cycles of each power in a list indexed by
 cycle length, and builds its result directly as the canonical Partition
-tuple.  fixed_subset_count and partitions.power_cycle_type are the
-definitions it follows, kept public as the reference the tests compare it
-against.
+tuple.  For one (p, r), subset_action_terms runs every partition's walk
+against two tables that live only for that call: the fixed r-subset count
+of each short-cycle profile and the divisor list of each base order.  Most
+walks meet profiles and orders that earlier walks already met, so most
+steps look their fixed count up instead of recounting it.  No table is kept
+between calls.  fixed_subset_count and partitions.power_cycle_type are the
+definitions the walk follows, kept public as the reference the tests
+compare it against.
 
 Everything here is exact integer arithmetic.  Any division that comes out
 inexact, or any negative intermediate multiplicity, raises ArithmeticError
@@ -121,31 +126,54 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
     r-subset, so a list indexed by cycle length 0..r holds them.  The
     multiplicities are recorded in increasing divisor order and only when
     positive, so the result is built directly as the canonical Partition
-    tuple, with no re-sorting or re-validation.
+    tuple, with no re-sorting or re-validation.  This is the walk
+    subset_action_terms runs for each partition; here it gets empty tables of
+    fixed counts and divisor lists, dropped on return.
     """
-    p = base.ambient
+    return _induced_walk(base, r, {}, {})
+
+
+def _induced_walk(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...], int],
+                  divisors_by_order: dict[int, list[int]]) -> Partition:
+    """induced_cycle_type's divisor walk, reading and filling the given tables.
+
+    ``fixed_by_profile`` maps the short-cycle list of a power, as a tuple, to
+    the number of r-subsets it fixes, and ``divisors_by_order`` maps a base
+    order to its divisors; both hold only what r and those keys determine, so
+    every walk at the same r may share them.
+    """
+    p = 0
+    order = 1
+    for size, count in base:
+        p += size * count
+        order = lcm(order, size)
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= {p}, got r={r}")
     points = comb(p, r)
-    order = lcm(*base.sizes())
-    subsets = partitions_of(r)
-    mult: dict[int, int] = {}
+    divisors = divisors_by_order.get(order)
+    if divisors is None:
+        divisors = divisors_by_order[order] = _divisors(order)
+    found: list[tuple[int, int]] = []
     covered = 0
-    for m in _divisors(order):
+    for m in divisors:
         short = [0] * (r + 1)
         for size, count in base:
             g = gcd(m, size)
             if size <= r * g:
                 short[size // g] += g * count
-        fixed = 0
-        for sub in subsets:
-            ways = 1
-            for length, needed in sub:
-                ways *= comb(short[length], needed)
-                if not ways:
-                    break
-            fixed += ways
-        for d, md in mult.items():
+        profile = tuple(short)
+        fixed = fixed_by_profile.get(profile)
+        if fixed is None:
+            fixed = 0
+            for sub in partitions_of(r):
+                ways = 1
+                for length, needed in sub:
+                    ways *= comb(short[length], needed)
+                    if not ways:
+                        break
+                fixed += ways
+            fixed_by_profile[profile] = fixed
+        for d, md in found:
             if m % d == 0:
                 fixed -= d * md
         quotient, leftover = divmod(fixed, m)
@@ -154,14 +182,14 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
                 f"cycle-type inversion failed at m={m} for base {base!r}, r={r}: "
                 f"{fixed} is not a nonnegative multiple of {m}")
         if quotient:
-            mult[m] = quotient
+            found.append((m, quotient))
             covered += m * quotient
             if covered == points:
                 break
     if covered != points:
         raise ArithmeticError(
             f"induced cycle type of {base!r} covers {covered} of {points} points")
-    return tuple.__new__(Partition, mult.items())
+    return tuple.__new__(Partition, found)
 
 
 @lru_cache(maxsize=128)
@@ -171,11 +199,16 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int
     One (base partition, induced cycle type, weight) triple per partition of
     p, in partitions_of order.  Distinct base partitions can induce the same
     cycle type; this form keeps them apart so each term stays auditable.
-    The result is cached; it is an immutable tuple, so callers share it safely.
+    All the partitions' divisor walks share one table of fixed counts and one
+    of divisor lists, made for this call and dropped on return.  The result
+    is cached; it is an immutable tuple, so callers share it safely.
     """
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= p, got p={p}, r={r}")
-    return tuple((j, induced_cycle_type(j, r), permutation_count(j))
+    fixed_by_profile: dict[tuple[int, ...], int] = {}
+    divisors_by_order: dict[int, list[int]] = {}
+    return tuple((j, _induced_walk(j, r, fixed_by_profile, divisors_by_order),
+                  permutation_count(j))
                  for j in partitions_of(p))
 
 

@@ -113,10 +113,12 @@ def permutation_count(cycle_type: Partition) -> int:
     With multiplicities m_k over part sizes k this is
     p! / prod_k (k**m_k * m_k!), and the division is always exact.
     """
+    points = 0
     denominator = 1
     for size, mult in cycle_type:
+        points += size * mult
         denominator *= size**mult * factorial(mult)
-    return factorial(cycle_type.ambient) // denominator
+    return factorial(points) // denominator
 
 
 def power_cycle_type(cycle_type: Partition, exponent: int) -> Partition:

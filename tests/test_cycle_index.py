@@ -4,7 +4,7 @@ import importlib
 import pkgutil
 from collections import Counter
 from itertools import accumulate, combinations, permutations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +145,29 @@ def test_inversion_guards(monkeypatch):
     monkeypatch.setattr(cycle_index, "partitions_of", lambda n: (Partition({1: n}),))
     with pytest.raises(ArithmeticError, match="3 is not a nonnegative multiple of 2"):
         induced_cycle_type(Partition({1: 1, 2: 1}), 2)
+
+
+def test_inversion_guard_on_negative_multiple(monkeypatch):
+    # the fixed points drop out of every square: base {1: 2, 4: 1} at r = 1
+    # then has 0 - 2 fixed points left at m = 2, an exact but negative
+    # multiple of 2; the leftover test alone would record a multiplicity of
+    # -1 and fail later, on the point cover
+    monkeypatch.setattr(cycle_index, "gcd", lambda m, k: 0 if (m, k) == (2, 1) else gcd(m, k))
+    with pytest.raises(ArithmeticError, match="-2 is not a nonnegative multiple of 2"):
+        induced_cycle_type(Partition({1: 2, 4: 1}), 1)
+    # the partitions of 6 before {1: 2, 4: 1} invert cleanly under the same patch
+    with pytest.raises(ArithmeticError, match="-2 is not a nonnegative multiple of 2"):
+        subset_action_terms.__wrapped__(6, 1)
+
+
+def test_shared_walk_tables_match_fresh_ones():
+    # subset_action_terms shares one fixed-count table and one divisor table
+    # across all partitions of p; induced_cycle_type starts from empty ones
+    cases = [(p, r) for p in range(1, 15) for r in range(1, p + 1)] + [(24, 3)]
+    for p, r in cases:
+        fresh = tuple((j, induced_cycle_type(j, r), permutation_count(j))
+                      for j in partitions_of(p))
+        assert subset_action_terms.__wrapped__(p, r) == fresh
 
 
 def test_cycle_index_symmetric_s3():

@@ -130,6 +130,8 @@ def test_exhaustive_empty_state_space():
 
 
 def test_exhaustive_guards():
-    for p, n in ((7, 1), (0, 1), (4, 0)):
+    # (7, 1) also exceeds the 2^20 state cap; (7, 5) has C(7, 6) = 7 states,
+    # so only the p <= 6 cap refuses it
+    for p, n in ((7, 1), (7, 5), (0, 1), (4, 0)):
         with pytest.raises(ValueError):
             exhaustive_plex_histogram(p, n)

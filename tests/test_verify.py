@@ -72,6 +72,21 @@ def test_check_formulas_reports_wrong_unmerged_display(monkeypatch):
         "FAIL unmerged terms p=6 r=3: term multiset differs from the published display")
 
 
+def test_check_formulas_reports_replacement_weight_mismatch():
+    # the misprinted (8, 4) term, published and noted with one more weight
+    # than the computed replacement terms carry
+    data = load_golden()
+    (monomial, weight), = data.known_discrepancies[(8, 4)]
+    formula = {**data.formulas[(8, 4)], monomial: weight + 1}
+    skewed = data._replace(formulas={**data.formulas, (8, 4): formula},
+                           known_discrepancies={(8, 4): ((monomial, weight + 1),)})
+    assert verify._check_one_formula(data, 8, 4).passed
+    result = verify._check_one_formula(skewed, 8, 4)
+    assert not result.passed
+    assert result.detail == (f"replacement terms carry weight {weight}, "
+                             f"misprinted terms carry {weight + 1}")
+
+
 def test_check_oracle_reports_disagreement(monkeypatch):
     monkeypatch.setattr(verify, "induced_cycle_type", lambda base, r: Partition())
     monkeypatch.setattr(verify, "plex_polynomial", lambda p, n: IntPolynomial([7]))

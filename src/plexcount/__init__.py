@@ -11,12 +11,11 @@ oracles and bundled reference data.
 
 from .counting import (ONE, ONE_PLUS_X, IntPolynomial, plex_count, plex_polynomial,
                        substitute)
-from .cycle_index import (CycleIndex, cycle_index_subset_action, fixed_subset_count,
-                          induced_cycle_type, subset_action_terms)
+from .cycle_index import (CycleIndex, cycle_index_subset_action, induced_cycle_type,
+                          subset_action_terms)
 from .golden import GoldenData, fixture_path, load_golden
-from .oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
-                     induce_on_subsets)
-from .partitions import Partition, partitions_of, permutation_count, power_cycle_type
+from .oracle import burnside_polynomial, exhaustive_plex_histogram
+from .partitions import Partition, partitions_of, permutation_count
 from .verify import CheckResult, run_scope
 
 __version__ = "0.1.0"
@@ -31,18 +30,14 @@ __all__ = [
     "Partition",
     "burnside_polynomial",
     "cycle_index_subset_action",
-    "cycle_type_of",
     "exhaustive_plex_histogram",
-    "fixed_subset_count",
     "fixture_path",
-    "induce_on_subsets",
     "induced_cycle_type",
     "load_golden",
     "partitions_of",
     "permutation_count",
     "plex_count",
     "plex_polynomial",
-    "power_cycle_type",
     "run_scope",
     "subset_action_terms",
     "substitute",

@@ -8,12 +8,12 @@ x^k coefficient is the number of n-plexes with exactly k n-simplexes.
 
 All polynomial products here are Kronecker substitutions: coefficients go
 into fixed-width byte slots of one big integer, so a product is one
-big-integer multiply or power.  A slot is wide enough when it holds the
-product's value at x = 1, which bounds every coefficient when none is
-negative.  substitute keeps each cycle-index term packed from first factor
-to last, widening its slots as factors come in, and for a palindromic
-figure such as 1 + x it computes only the lower half of every term and
-mirrors it (see substitute).
+big-integer multiply or power.  One rule sets every slot width: a slot is
+wide enough when it holds the product's value at x = 1, which bounds every
+coefficient when none is negative.  substitute keeps each cycle-index term
+packed from first factor to last, widening its slots as factors come in,
+and for a palindromic figure such as 1 + x it computes only the lower half
+of every term and mirrors it (see substitute).
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ class IntPolynomial:
     Stored as a tuple of coefficients indexed by exponent, with no trailing
     zeros; the zero polynomial is the empty tuple.  Immutable and hashable.
 
-    Multiply and power use Kronecker substitution: each operand is packed
-    into one big integer with every coefficient in a fixed-width byte slot,
-    so a product is a single big-integer multiply (or power) followed by
-    unpacking.  Slot widths come from a proven bound on the result's largest
-    coefficient, which holds only for nonnegative coefficients; both
-    operations raise ValueError on a negative one.  substitute does not go
-    through them: it packs each term once and multiplies packed ints.
+    Its one arithmetic operation is the Kronecker-packed multiply: each
+    operand is packed into one big integer, with slots as wide as the
+    product's value at x = 1, sum(a) * sum(b), needs.  So a product is a
+    single big-integer multiply followed by unpacking.  That bound holds
+    only for nonnegative coefficients, and a negative one raises
+    ValueError.  substitute does not go through it: it packs each term once
+    and multiplies packed ints, with slot widths from the same rule.
     """
 
     __slots__ = ("coeffs",)
@@ -51,28 +51,12 @@ class IntPolynomial:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, exponent: int) -> int:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return 0
-
     def coefficient_sum(self) -> int:
         """Sum of all coefficients, i.e. the value at x = 1."""
         return sum(self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
@@ -82,38 +66,9 @@ class IntPolynomial:
         _require_nonnegative(b)
         if not a or not b:
             return IntPolynomial()
-        # every product coefficient is a sum of at most min(len) terms,
-        # each at most max(a) * max(b)
-        bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
-        width = (bits + 7) // 8
+        width = _slot_width(sum(a) * sum(b))
         return IntPolynomial(
             _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1))
-
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        a = self.coeffs
-        _require_nonnegative(a)
-        if exponent == 0:
-            return IntPolynomial((1,))
-        if not a:
-            return IntPolynomial()
-        # with nonnegative coefficients none exceeds the value at x = 1
-        width = _slot_width(sum(a) ** exponent)
-        return IntPolynomial(
-            _unpack(_pack(a, width) ** exponent, width, (len(a) - 1) * exponent + 1))
-
-    def scale(self, factor: int) -> "IntPolynomial":
-        return IntPolynomial(c * factor for c in self.coeffs)
-
-    def stretch(self, step: int) -> "IntPolynomial":
-        """Substitute x**step for x (spreads coefficients, no evaluation)."""
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
-        out = [0] * (len(self.coeffs) * step)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return IntPolynomial(out)
 
     def exact_div(self, divisor: int) -> "IntPolynomial":
         """Divide every coefficient by ``divisor``, requiring exactness."""
@@ -169,8 +124,8 @@ def _unpack(packed: int, width: int, length: int) -> list[int]:
 def _repack(packed: int, width: int, new_width: int, step: int, slots: int) -> int:
     """Move the low ``slots`` slots of ``packed`` to slot i * step of ``new_width`` bytes.
 
-    That is stretch(step) done on the packed form, into slots at least as
-    wide; slots from ``slots`` on are dropped.  It costs one strided byte
+    That substitutes x**step for x on the packed form, into slots at least
+    as wide; slots from ``slots`` on are dropped.  It costs one strided byte
     copy per byte of the old width, however many slots there are.
     """
     packed &= (1 << (8 * width * slots)) - 1

@@ -15,8 +15,8 @@ of each short-cycle profile and the divisor list of each base order.  Most
 walks meet profiles and orders that earlier walks already met, so most
 steps look their fixed count up instead of recounting it.  No table is kept
 between calls.  fixed_subset_count and partitions.power_cycle_type are the
-definitions the walk follows, kept public as the reference the tests
-compare it against.
+definitions the walk follows, kept in their modules (not the top-level
+namespace) as the reference the tests compare it against.
 
 Everything here is exact integer arithmetic.  Any division that comes out
 inexact, or any negative intermediate multiplicity, raises ArithmeticError
@@ -35,9 +35,10 @@ class CycleIndex:
     """Exact cycle index: integer-weighted cycle-type monomials over 1/group_order.
 
     ``terms`` maps each cycle type to a positive int weight.  The weights
-    sum to ``group_order`` and every cycle type partitions ``ambient_points``,
-    all checked at construction.  The normalising 1/group_order factor is
-    implicit; it is applied only when substituting (see counting.substitute).
+    sum to ``group_order``, which is at least 1, and every cycle type
+    partitions ``ambient_points``, all checked at construction.  The
+    normalising 1/group_order factor is implicit; it is applied only when
+    substituting (see counting.substitute).
     """
 
     __slots__ = ("terms", "group_order", "ambient_points")
@@ -46,6 +47,9 @@ class CycleIndex:
         if type(group_order) is not int or type(ambient_points) is not int:
             raise ValueError(f"group order and point count must be int, "
                              f"got {group_order!r} and {ambient_points!r}")
+        if group_order < 1 or ambient_points < 0:
+            raise ValueError(f"need group order >= 1 and point count >= 0, "
+                             f"got {group_order} and {ambient_points}")
         terms = dict(terms)
         for cycle_type, weight in terms.items():
             if type(weight) is not int:

@@ -99,13 +99,15 @@ def burnside_polynomial(p: int, r: int) -> IntPolynomial:
 
     For one representative per partition of p, induce the permutation on
     r-subsets, take the product of (1 + x**length) over its traced cycles,
-    weight by the number of permutations sharing that cycle type, and divide
-    the grand total exactly by p!.  Agrees with plex_polynomial(p, r - 1)
-    but shares none of its cycle-type machinery.
+    weight by the number of permutations sharing that cycle type, and sum
+    into one list of C(p, r) + 1 coefficients (every term has that degree,
+    the sum of its cycle lengths).  The total is divided exactly by p!, once.
+    Agrees with plex_polynomial(p, r - 1) but shares none of its cycle-type
+    machinery.
     """
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= p, got p={p}, r={r}")
-    total = IntPolynomial()
+    total = [0] * (comb(p, r) + 1)
     for base in partitions_of(p):
         induced = induce_on_subsets(representative_of(base), r)
         # multiply by (1 + x**length) as a plain shift-and-add, so this
@@ -116,8 +118,10 @@ def burnside_polynomial(p: int, r: int) -> IntPolynomial:
             for i, c in enumerate(term):
                 shifted[i + length] += c
             term = shifted
-        total = total + IntPolynomial(term).scale(permutation_count(base))
-    return total.exact_div(factorial(p))
+        weight = permutation_count(base)
+        for i, c in enumerate(term):
+            total[i] += weight * c
+    return IntPolynomial(total).exact_div(factorial(p))
 
 
 # ---------------------------------------------------------------------------

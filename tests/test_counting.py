@@ -36,31 +36,20 @@ def test_polynomial_trailing_zeros_stripped():
 def test_polynomial_degree_and_coefficients():
     f = IntPolynomial((1, 0, 3))
     assert f.degree == 2
-    assert f.coefficient(0) == 1
-    assert f.coefficient(1) == 0
-    assert f.coefficient(2) == 3
-    assert f.coefficient(99) == 0
+    assert f.coeffs[0] == 1
+    assert f.coeffs[1] == 0
+    assert f.coeffs[2] == 3
     assert f.coefficient_sum() == 4
     assert IntPolynomial().degree == -1
     assert not IntPolynomial()
     assert IntPolynomial((5,))
 
 
-def test_polynomial_add_and_mul():
+def test_polynomial_mul():
     f = IntPolynomial((1, 2))
     g = IntPolynomial((3, 0, 1))
-    assert (f + g).coeffs == (4, 2, 1)
     assert (f * g).coeffs == (3, 6, 1, 2)
-    assert (f + IntPolynomial((-1, -2))).coeffs == ()
     assert (f * IntPolynomial()).coeffs == ()
-
-
-def test_polynomial_pow():
-    assert (ONE_PLUS_X ** 0) == ONE
-    assert (ONE_PLUS_X ** 4).coeffs == (1, 4, 6, 4, 1)
-    assert (ONE_PLUS_X ** 10).coeffs == tuple(comb(10, k) for k in range(11))
-    with pytest.raises(ValueError):
-        ONE_PLUS_X ** -1
 
 
 def _convolve(a, b):
@@ -72,13 +61,6 @@ def _convolve(a, b):
     return IntPolynomial(out)
 
 
-def _power(a, exponent):
-    result = (1,)
-    for _ in range(exponent):
-        result = _convolve(result, a).coeffs
-    return IntPolynomial(result)
-
-
 # zeros, small values and values up to a few hundred bits, mixed within one
 # polynomial; all-ones values fill their bit width, which tests the slot bound
 COEFFS = st.integers(1, 400).flatmap(lambda bits: st.lists(
@@ -88,19 +70,15 @@ COEFFS = st.integers(1, 400).flatmap(lambda bits: st.lists(
 
 
 @given(COEFFS, COEFFS)
+# the middle coefficient, 2 * 255 * 255, needs a third byte: a slot width
+# taken from max(a) * max(b) alone would let it carry into the next slot
+@example([255, 255], [255, 255])
 def test_polynomial_mul_matches_convolution(a, b):
     assert IntPolynomial(a) * IntPolynomial(b) == _convolve(a, b)
 
 
-@given(COEFFS, st.integers(0, 6))
-@example([], 0)
-@example([0, 2 ** 200, 0, 7], 0)
-def test_polynomial_pow_matches_repeated_convolution(a, exponent):
-    assert IntPolynomial(a) ** exponent == _power(a, exponent)
-
-
 @given(COEFFS, COEFFS, st.data())
-def test_polynomial_mul_and_pow_reject_negative_coefficients(a, b, data):
+def test_polynomial_mul_rejects_negative_coefficients(a, b, data):
     position = data.draw(st.integers(0, len(a)))
     negative = IntPolynomial(a[:position] + [data.draw(st.integers(-2 ** 300, -1))]
                              + a[position:])
@@ -108,8 +86,6 @@ def test_polynomial_mul_and_pow_reject_negative_coefficients(a, b, data):
         negative * IntPolynomial(b)
     with pytest.raises(ValueError):
         IntPolynomial(b) * negative
-    with pytest.raises(ValueError):
-        negative ** data.draw(st.integers(0, 4))
 
 
 def _naive_substitute(index, figure):
@@ -218,16 +194,6 @@ def test_plex_polynomial_agrees_with_cycle_index_at_points_mod_q(p, n):
         assert left == right * inverse_order % MODULUS
 
 
-def test_polynomial_scale_and_stretch():
-    f = IntPolynomial((1, 2, 1))
-    assert f.scale(3).coeffs == (3, 6, 3)
-    assert f.scale(0).coeffs == ()
-    assert f.stretch(1) == f
-    assert f.stretch(3).coeffs == (1, 0, 0, 2, 0, 0, 1)
-    with pytest.raises(ValueError):
-        f.stretch(0)
-
-
 def test_polynomial_exact_div():
     assert IntPolynomial((2, 4, 6)).exact_div(2).coeffs == (1, 2, 3)
     with pytest.raises(ArithmeticError):
@@ -273,8 +239,8 @@ def test_plex_polynomial_shape():
                 assert poly == ONE
                 continue
             assert poly.degree == comb(p, n + 1)
-            assert poly.coefficient(0) == 1
-            assert poly.coefficient(poly.degree) == 1
+            assert poly.coeffs[0] == 1
+            assert poly.coeffs[poly.degree] == 1
             assert all(c >= 0 for c in poly.coeffs)
 
 

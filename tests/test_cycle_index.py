@@ -261,6 +261,9 @@ def test_cycle_index_constructor_validation():
         CycleIndex({term: 6}, group_order=6, ambient_points=4)  # degree
     with pytest.raises(ValueError):
         CycleIndex({term: 0}, group_order=0, ambient_points=3)  # empty weight
+    for group_order, points in ((0, -3), (0, 4)):
+        with pytest.raises(ValueError):
+            CycleIndex({}, group_order=group_order, ambient_points=points)
     s3 = {Partition({1: 1, 2: 1}): 3, Partition({3: 1}): 2}
     for weight in (1.0, True):
         with pytest.raises(ValueError):

@@ -28,11 +28,10 @@ def test_readme_library_example_and_public_names():
 
     assert plexcount.__all__ == [
         "CheckResult", "CycleIndex", "GoldenData", "IntPolynomial", "ONE", "ONE_PLUS_X",
-        "Partition", "burnside_polynomial", "cycle_index_subset_action", "cycle_type_of",
-        "exhaustive_plex_histogram", "fixed_subset_count", "fixture_path",
-        "induce_on_subsets", "induced_cycle_type", "load_golden", "partitions_of",
-        "permutation_count", "plex_count", "plex_polynomial", "power_cycle_type",
-        "run_scope", "subset_action_terms", "substitute",
+        "Partition", "burnside_polynomial", "cycle_index_subset_action",
+        "exhaustive_plex_histogram", "fixture_path", "induced_cycle_type", "load_golden",
+        "partitions_of", "permutation_count", "plex_count", "plex_polynomial", "run_scope",
+        "subset_action_terms", "substitute",
     ]
     for name in plexcount.__all__:
         assert getattr(plexcount, name) is not None

@@ -154,7 +154,9 @@ def test_parse_structured_rejects_bad_documents():
                       if key != "group_order"}
     record = json.loads(first)
     del record["monomial"]
+    empty = {"kind": "cycle-index", "terms": 0, "group_order": "0"}
     for bad in ("[]", "\n".join([json.dumps(no_group_order), first, *rest]),
+                json.dumps({**empty, "points": -3}), json.dumps({**empty, "points": 4}),
                 "\n".join([header, "[1]", *rest]),
                 "\n".join([header, json.dumps(record), *rest])):
         with pytest.raises(ValueError):

@@ -13,12 +13,13 @@ Subcommands:
 
 Exit status is 0 on success, 1 when ``verify`` finds a mismatch, and 2 for
 usage errors.  Each argument has one guard, and all run before any work:
-``--p/--n/--r/--max-p/--max-n`` parse as ints >= 1, ``cycle-index`` needs
-r <= p and takes ``--var`` only with plain or latex output, and ``main``
-holds ``--p/--max-p/--max-n`` to one ceiling (default 12), a guardrail
-against accidental huge runs that ``--limit`` raises.  While a command
-runs, ``main`` lifts Python's limit on the digits of an int printed in
-decimal, and restores it on return.
+``--p/--n/--r/--max-p/--max-n/--limit`` parse as ints >= 1 written in
+ASCII decimal digits alone (no sign, space or underscore), ``cycle-index``
+needs r <= p and takes ``--var`` only with plain or latex output, and
+``main`` holds ``--p/--max-p/--max-n`` to one ceiling (default 12), a
+guardrail against accidental huge runs that ``--limit`` raises.  While a
+command runs, ``main`` lifts Python's limit on the digits of an int printed
+in decimal, and restores it on return.
 """
 
 from __future__ import annotations
@@ -28,22 +29,27 @@ import sys
 
 from .counting import plex_count, plex_polynomial
 from .cycle_index import cycle_index_subset_action, subset_action_terms
-from .render import render_latex, render_plain, render_structured
+from .render import _decimal, render_latex, render_plain, render_structured
 from .verify import SCOPES, run_scope
 
 DEFAULT_LIMIT = 12
 
 
 def positive_int(text: str) -> int:
-    """argparse type of --p, --n, --r, --max-p and --max-n: an int >= 1."""
-    value = int(text)
+    """argparse type of every integer option: ASCII decimal digits, value >= 1.
+
+    It reads digits as render._decimal does, so a sign, whitespace, an
+    underscore or a non-ASCII digit is invalid; a leading minus is read only
+    to report the value as below 1.
+    """
+    value = -_decimal(text[1:]) if text.startswith("-") else _decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _add_limit(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT, metavar="P",
+    parser.add_argument("--limit", type=positive_int, default=DEFAULT_LIMIT, metavar="P",
                         help="refuse p larger than this (default %(default)s)")
 
 

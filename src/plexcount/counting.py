@@ -5,6 +5,11 @@ of (n+1)-element subsets, so counting n-plexes up to isomorphism is counting
 orbits of S_p on those subset families.  Substituting 1 + x into the cycle
 index of the action on (n+1)-subsets yields the counting polynomial whose
 x^k coefficient is the number of n-plexes with exactly k n-simplexes.
+The total alone, plex_count, needs no cycle index: it weights each
+partition of p by its class size times 2 to the number of cycles its
+permutations induce on (n+1)-subsets, a number Burnside's lemma gives
+from fixed-subset counts (cycle_index._cycle_count), with the fixed-count
+and divisor tables made for that call and dropped on return.
 
 All polynomial products here are Kronecker substitutions: coefficients go
 into fixed-width byte slots of one big integer, so a product is one
@@ -18,9 +23,11 @@ of every term and mirrors it (see substitute).
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterable
 
-from .cycle_index import CycleIndex, cycle_index_subset_action
+from .cycle_index import CycleIndex, _cycle_count, cycle_index_subset_action
+from .partitions import partitions_of, permutation_count
 
 
 class IntPolynomial:
@@ -211,23 +218,29 @@ def plex_polynomial(p: int, n: int) -> IntPolynomial:
 def plex_count(p: int, n: int) -> int:
     """Total number of n-plexes on p points.
 
-    Computed by putting 2 straight into every cycle-index variable (each
-    cycle of the induced permutation is either wholly in or wholly out),
-    which must agree with plex_polynomial(p, n) evaluated at x = 1.
+    Each cycle of the permutation induced on (n+1)-subsets is either wholly
+    in an n-plex or wholly out, so a permutation fixes 2**c n-plexes, c its
+    number of induced cycles, and by Burnside's lemma the total is
+    (1/p!) sum_j |C_j| * 2**c(j) over the partitions j of p, |C_j| the size
+    of the conjugacy class.  c(j) comes from the fixed (n+1)-subset counts of
+    the powers of j (see cycle_index._cycle_count), so no induced cycle type
+    or cycle index is built; the fixed-count and divisor tables live for
+    this call only.  The total must agree with plex_polynomial(p, n) at
+    x = 1, and a remainder in the division by p! raises ArithmeticError.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     if p < n + 1:
         return 1
-    index = cycle_index_subset_action(p, n + 1)
+    fixed_by_profile: dict[tuple[int, ...], int] = {}
+    divisors_by_order: dict[int, list[tuple[int, int]]] = {}
     doubled = 0
-    for cycle_type, weight in index.terms.items():
-        cycles = 0
-        for _, mult in cycle_type:
-            cycles += mult
-        doubled += weight << cycles
-    quotient, remainder = divmod(doubled, index.group_order)
+    for base in partitions_of(p):
+        doubled += permutation_count(base) << _cycle_count(
+            base, n + 1, fixed_by_profile, divisors_by_order)
+    group_order = factorial(p)
+    quotient, remainder = divmod(doubled, group_order)
     if remainder:
         raise ArithmeticError(
-            f"orbit total {doubled} is not divisible by group order {index.group_order}")
+            f"orbit total {doubled} is not divisible by group order {group_order}")
     return quotient

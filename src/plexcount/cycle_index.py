@@ -9,10 +9,16 @@ of the induced permutation, and the full induced cycle type follows by
 inversion over the divisors of the base permutation's order.  That walk
 runs on plain ints, with the short cycles of each power in a list indexed by
 cycle length, and builds its result directly as the canonical Partition
-tuple.  For one (p, r), subset_action_terms runs every partition's walk
+tuple.  counting.plex_count needs only the number of induced cycles, which
+_cycle_count gets from the same fixed counts by Burnside's lemma on the
+cyclic group the permutation generates, without building the induced cycle
+type.  Both read every fixed count through one helper, _fixed_count.
+
+For one (p, r), subset_action_terms and plex_count run every partition
 against two tables that live only for that call: the fixed r-subset count
-of each short-cycle profile and the divisor list of each base order.  Most
-walks meet profiles and orders that earlier walks already met, so most
+of each short-cycle profile, and each base order's divisors, every divisor
+e paired with Euler's phi of order / e (the walk ignores phi).  Most
+partitions meet profiles and orders that earlier ones already met, so most
 steps look their fixed count up instead of recounting it.  No table is kept
 between calls.  fixed_subset_count and partitions.power_cycle_type are the
 definitions the walk follows, kept in their modules (not the top-level
@@ -112,6 +118,19 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _divisor_totients(n: int) -> list[tuple[int, int]]:
+    """(e, phi(n / e)) for each divisor e of n, in increasing order of e.
+
+    Euler's phi comes from d = sum of phi(c) over the divisors c of d, taken
+    over the divisors of n in increasing order, so nothing is factored.
+    """
+    divisors = _divisors(n)
+    totients: dict[int, int] = {}
+    for d in divisors:
+        totients[d] = d - sum(t for c, t in totients.items() if d % c == 0)
+    return [(e, totients[n // e]) for e in divisors]
+
+
 def induced_cycle_type(base: Partition, r: int) -> Partition:
     """Cycle type of the permutation induced on r-subsets by a base cycle type.
 
@@ -124,27 +143,24 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
     permutation's order divides the base order.  The loop stops as soon as
     the recovered cycles cover all C(p, r) points.
 
-    The walk computes that fixed count on ints alone.  Each k-cycle of the
-    base becomes gcd(m, k) cycles of length k / gcd(m, k) in the m-th power,
-    and only lengths up to r are kept, since a longer cycle lies in no fixed
-    r-subset, so a list indexed by cycle length 0..r holds them.  The
+    The walk computes that fixed count on ints alone (see _fixed_count).  The
     multiplicities are recorded in increasing divisor order and only when
     positive, so the result is built directly as the canonical Partition
     tuple, with no re-sorting or re-validation.  This is the walk
     subset_action_terms runs for each partition; here it gets empty tables of
-    fixed counts and divisor lists, dropped on return.
+    fixed counts and divisors, dropped on return.
     """
     return _induced_walk(base, r, {}, {})
 
 
-def _induced_walk(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...], int],
-                  divisors_by_order: dict[int, list[int]]) -> Partition:
-    """induced_cycle_type's divisor walk, reading and filling the given tables.
+def _base_divisors(base: Partition, r: int,
+                   divisors_by_order: dict[int, list[tuple[int, int]]]
+                   ) -> tuple[int, int, list[tuple[int, int]]]:
+    """The points p and order L of a base cycle type, and L's divisor table.
 
-    ``fixed_by_profile`` maps the short-cycle list of a power, as a tuple, to
-    the number of r-subsets it fixes, and ``divisors_by_order`` maps a base
-    order to its divisors; both hold only what r and those keys determine, so
-    every walk at the same r may share them.
+    The table holds (e, phi(L / e)) for each divisor e of L, in increasing
+    order of e; ``divisors_by_order`` keeps it per order.  ValueError unless
+    1 <= r <= p.
     """
     p = 0
     order = 1
@@ -153,30 +169,56 @@ def _induced_walk(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...
         order = lcm(order, size)
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= {p}, got r={r}")
-    points = comb(p, r)
     divisors = divisors_by_order.get(order)
     if divisors is None:
-        divisors = divisors_by_order[order] = _divisors(order)
+        divisors = divisors_by_order[order] = _divisor_totients(order)
+    return p, order, divisors
+
+
+def _fixed_count(base: Partition, r: int, m: int,
+                 fixed_by_profile: dict[tuple[int, ...], int]) -> int:
+    """Number of r-subsets fixed by the m-th power of a base cycle type.
+
+    Each k-cycle of the base becomes gcd(m, k) cycles of length k / gcd(m, k)
+    in the m-th power, and only lengths up to r are kept, since a longer
+    cycle lies in no fixed r-subset, so a list indexed by cycle length 0..r
+    holds them.  ``fixed_by_profile`` maps that list, as a tuple, to its
+    fixed count, which it alone determines at this r.
+    """
+    short = [0] * (r + 1)
+    for size, count in base:
+        g = gcd(m, size)
+        if size <= r * g:
+            short[size // g] += g * count
+    profile = tuple(short)
+    fixed = fixed_by_profile.get(profile)
+    if fixed is None:
+        fixed = 0
+        for sub in partitions_of(r):
+            ways = 1
+            for length, needed in sub:
+                ways *= comb(short[length], needed)
+                if not ways:
+                    break
+            fixed += ways
+        fixed_by_profile[profile] = fixed
+    return fixed
+
+
+def _induced_walk(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...], int],
+                  divisors_by_order: dict[int, list[tuple[int, int]]]) -> Partition:
+    """induced_cycle_type's divisor walk, reading and filling the given tables.
+
+    ``fixed_by_profile`` is _fixed_count's table and ``divisors_by_order``
+    _base_divisors'; both hold only what r and their keys determine, so
+    every walk and cycle count at the same r may share them.
+    """
+    p, _, divisors = _base_divisors(base, r, divisors_by_order)
+    points = comb(p, r)
     found: list[tuple[int, int]] = []
     covered = 0
-    for m in divisors:
-        short = [0] * (r + 1)
-        for size, count in base:
-            g = gcd(m, size)
-            if size <= r * g:
-                short[size // g] += g * count
-        profile = tuple(short)
-        fixed = fixed_by_profile.get(profile)
-        if fixed is None:
-            fixed = 0
-            for sub in partitions_of(r):
-                ways = 1
-                for length, needed in sub:
-                    ways *= comb(short[length], needed)
-                    if not ways:
-                        break
-                fixed += ways
-            fixed_by_profile[profile] = fixed
+    for m, _ in divisors:
+        fixed = _fixed_count(base, r, m, fixed_by_profile)
         for d, md in found:
             if m % d == 0:
                 fixed -= d * md
@@ -196,6 +238,30 @@ def _induced_walk(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...
     return tuple.__new__(Partition, found)
 
 
+def _cycle_count(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...], int],
+                 divisors_by_order: dict[int, list[tuple[int, int]]]) -> int:
+    """Number of cycles of the permutation a base cycle type induces on r-subsets.
+
+    By Burnside's lemma on the cyclic group generated by the permutation,
+    whose order L is the base order, that is the orbit count
+    (1/L) sum_{e | L} phi(L / e) * F(e), F(e) being the number of r-subsets
+    fixed by the e-th power: of the L powers, the phi(L / e) whose exponent
+    has gcd e with L generate the same subgroup as the e-th, so fix the same
+    subsets.  It takes the same tables as _induced_walk but never builds the
+    induced cycle type.  A remainder raises ArithmeticError.
+    """
+    _, order, divisors = _base_divisors(base, r, divisors_by_order)
+    orbit_sum = 0
+    for e, phi in divisors:
+        orbit_sum += phi * _fixed_count(base, r, e, fixed_by_profile)
+    cycles, remainder = divmod(orbit_sum, order)
+    if remainder:
+        raise ArithmeticError(
+            f"orbit sum {orbit_sum} of base {base!r}, r={r} is not divisible "
+            f"by its order {order}")
+    return cycles
+
+
 @lru_cache(maxsize=128)
 def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int], ...]:
     """Unmerged cycle-index terms of S_p acting on r-subsets.
@@ -204,13 +270,13 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int
     p, in partitions_of order.  Distinct base partitions can induce the same
     cycle type; this form keeps them apart so each term stays auditable.
     All the partitions' divisor walks share one table of fixed counts and one
-    of divisor lists, made for this call and dropped on return.  The result
+    of divisors, made for this call and dropped on return.  The result
     is cached; it is an immutable tuple, so callers share it safely.
     """
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= p, got p={p}, r={r}")
     fixed_by_profile: dict[tuple[int, ...], int] = {}
-    divisors_by_order: dict[int, list[int]] = {}
+    divisors_by_order: dict[int, list[tuple[int, int]]] = {}
     return tuple((j, _induced_walk(j, r, fixed_by_profile, divisors_by_order),
                   permutation_count(j))
                  for j in partitions_of(p))

@@ -151,6 +151,13 @@ def test_guards_exit_2_before_computing(capsys, monkeypatch):
         monkeypatch.setattr(f"plexcount.cli.{name}", fail)
     for argv, message in (
             (["count", "--p", "x", "--n", "1"], "argument --p: invalid"),
+            (["count", "--p", "\u0669", "--n", "3"], "argument --p: invalid"),
+            (["count", "--p", "1_0", "--n", "1", "--limit", "10"], "argument --p: invalid"),
+            (["poly", "--p", "+9", "--n", "1"], "argument --p: invalid"),
+            (["poly", "--p", "3", "--n", " 9"], "argument --n: invalid"),
+            (["cycle-index", "--p", "3", "--r", "2", "--limit", "1_2"],
+             "argument --limit: invalid"),
+            (["table", "--max-p", "3", "--limit", "0"], "argument --limit: must be >= 1, got 0"),
             (["poly", "--p", "3", "--n", "-1"], "argument --n: must be >= 1, got -1"),
             (["table", "--max-p", "0"], "argument --max-p: must be >= 1, got 0"),
             (["cycle-index", "--p", "3", "--r", "0"], "argument --r: must be >= 1, got 0"),

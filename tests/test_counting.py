@@ -10,7 +10,7 @@ from plexcount import counting
 from plexcount.counting import (ONE, ONE_PLUS_X, IntPolynomial, plex_count,
                                 plex_polynomial, substitute)
 from plexcount.cycle_index import CycleIndex, cycle_index_subset_action
-from plexcount.partitions import Partition
+from plexcount.partitions import Partition, permutation_count
 
 # totals for 1 <= p <= 9, 1 <= n <= 3, frozen reference values
 KNOWN_COUNTS = {
@@ -159,15 +159,20 @@ def test_substitute_rejects_negative_coefficients(figure):
 
 def test_inexact_division_raises(monkeypatch):
     # weights sum to the group order 3, but the weighted totals are not
-    # multiples of it: 2 * (1+x)^2 + (1+x^2) = 3 + 4x + 3x^2, and 2*2^2 + 2 = 10
+    # multiples of it: 2 * (1+x)^2 + (1+x^2) = 3 + 4x + 3x^2
     bad = CycleIndex({Partition({1: 2}): 2, Partition({2: 1}): 1}, 3, 2)
     monkeypatch.setattr(counting, "cycle_index_subset_action", lambda p, r: bad)
-    with pytest.raises(ArithmeticError):
-        plex_count(2, 1)
     with pytest.raises(ArithmeticError):
         plex_polynomial(2, 1)
     with pytest.raises(ArithmeticError):
         substitute(bad, ONE_PLUS_X)
+    # plex_count(3, 1) sums 2 * 2^1 + 3 * 2^2 + 1 * 2^3 = 24 over the classes
+    # {3: 1}, {1: 1, 2: 1} and {1: 3}; one identity too many makes it 32,
+    # not a multiple of 3! = 6
+    monkeypatch.setattr(counting, "permutation_count",
+                        lambda j: permutation_count(j) + (j == Partition({1: 3})))
+    with pytest.raises(ArithmeticError, match="orbit total 32 is not divisible by group order 6"):
+        plex_count(3, 1)
 
 
 # Schwartz-Zippel: a polynomial of degree D that is wrong in any coefficient
@@ -265,9 +270,10 @@ def test_plex_count_coincidence_7():
 
 
 def test_plex_count_equals_coefficient_sum():
-    for p in range(1, 10):
-        for n in range(1, 4):
-            assert plex_count(p, n) == plex_polynomial(p, n).coefficient_sum()
+    # plex_count's Burnside cycle counts against substitution into the cycle index
+    cases = [(p, n) for p in range(1, 10) for n in range(1, 4)]
+    for p, n in cases + [(11, 5), (12, 3), (11, 4), (18, 1)]:
+        assert plex_count(p, n) == plex_polynomial(p, n).coefficient_sum()
 
 
 def test_plex_polynomial_palindromic():

@@ -133,6 +133,28 @@ def test_induced_cycle_type_matches_reference_at_large_p(case):
     assert induced_cycle_type(base, r) == reference_induced_cycle_type(base, r)
 
 
+def test_cycle_count_matches_induced_cycle_type():
+    # plex_count's Burnside cycle count shares one pair of tables per (p, r)
+    for p in range(1, 13):
+        for r in range(1, p + 1):
+            fixed_by_profile, divisors_by_order = {}, {}
+            for j in partitions_of(p):
+                cycles = cycle_index._cycle_count(j, r, fixed_by_profile, divisors_by_order)
+                assert cycles == sum(mult for _, mult in induced_cycle_type(j, r))
+    for r in (0, 4):
+        with pytest.raises(ValueError, match=f"need 1 <= r <= 3, got r={r}"):
+            cycle_index._cycle_count(Partition({3: 1}), r, {}, {})
+
+
+@settings(deadline=None)
+@given(PARTITION_AND_R)
+def test_cycle_count_matches_induced_cycle_type_at_large_p(case):
+    base, r = case
+    cycles = cycle_index._cycle_count(base, r, {}, {})
+    assert cycles == sum(mult for _, mult in induced_cycle_type(base, r))
+    assert cycles == reference_induced_cycle_type(base, r).num_parts()
+
+
 def test_inversion_guards(monkeypatch):
     # an induced cycle type must partition all C(p, r) subsets; with no
     # partition of r to count, every fixed count is 0 and no cycle is found
@@ -145,6 +167,17 @@ def test_inversion_guards(monkeypatch):
     monkeypatch.setattr(cycle_index, "partitions_of", lambda n: (Partition({1: n}),))
     with pytest.raises(ArithmeticError, match="3 is not a nonnegative multiple of 2"):
         induced_cycle_type(Partition({1: 1, 2: 1}), 2)
+
+
+def test_cycle_count_guard_on_inexact_orbit_sum(monkeypatch):
+    # the same undercount leaves the base {1: 1, 2: 1} at r = 2 with orbit
+    # sum 0 + 3 over its powers, which its order 2 does not divide
+    monkeypatch.setattr(cycle_index, "partitions_of", lambda n: (Partition({1: n}),))
+    with pytest.raises(ArithmeticError, match="orbit sum 3 .* not divisible by its order 2"):
+        cycle_index._cycle_count(Partition({1: 1, 2: 1}), 2, {}, {})
+    # plex_count(3, 1) reaches that base after {3: 1}, whose sum 0 + 3 divides by 3
+    with pytest.raises(ArithmeticError, match="orbit sum 3 .* not divisible by its order 2"):
+        plex_count(3, 1)
 
 
 def test_inversion_guard_on_negative_multiple(monkeypatch):

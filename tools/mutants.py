@@ -1,0 +1,145 @@
+"""Mutation check: each listed guard or bound, broken on purpose, must fail a test.
+
+Every mutant is one exact text edit to one file under ``src/``.  Before any
+test runs, each edit's old text must occur exactly once in its file, or the
+script stops with exit status 2: an edit that no longer matches would
+otherwise report a survivor, or nothing, for code that has moved.  The
+unmutated tree is then tested once, and must pass (exit status 2 if not).
+After that each mutant is applied to its own temporary copy of ``src/``,
+``tests/``, ``pyproject.toml`` and ``README.md``, and ``pytest -x -q`` runs
+there.  A mutant is killed when pytest fails, and the first failing test is
+named; it survives when pytest passes.  The exit status is 1 if any
+survives.
+
+    python3 tools/mutants.py
+
+This is not part of the test suite; a full run takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+
+# (name, file, exact old text, new text)
+MUTANTS = (
+    ("packed width one byte narrow", "src/plexcount/counting.py",
+     "power_width = _slot_width(at_one ** mult)",
+     "power_width = max(1, _slot_width(at_one ** mult) - 1)"),
+    ("packed multiply width from max, not sum", "src/plexcount/counting.py",
+     "width = _slot_width(sum(a) * sum(b))",
+     "width = _slot_width(max(a) * max(b))"),
+    ("exact_div remainder guard", "src/plexcount/counting.py",
+     "            if remainder:\n                raise ArithmeticError(\n"
+     "                    f\"coefficient",
+     "            if False:\n                raise ArithmeticError(\n"
+     "                    f\"coefficient"),
+    ("plex_count remainder guard", "src/plexcount/counting.py",
+     "    if remainder:\n        raise ArithmeticError(\n            f\"orbit total",
+     "    if False:\n        raise ArithmeticError(\n            f\"orbit total"),
+    ("cycle count orbit-sum guard", "src/plexcount/cycle_index.py",
+     "    if remainder:\n        raise ArithmeticError(\n            f\"orbit sum",
+     "    if False:\n        raise ArithmeticError(\n            f\"orbit sum"),
+    ("inversion guard on a negative multiple", "src/plexcount/cycle_index.py",
+     "if leftover or quotient < 0:",
+     "if leftover:"),
+    ("inversion point-cover guard", "src/plexcount/cycle_index.py",
+     "    if covered != points:\n        raise",
+     "    if False:\n        raise"),
+    ("replacement weight check", "src/plexcount/verify.py",
+     "if surplus_weight != notes_weight:",
+     "if False:"),
+    ("exhaustive p cap", "src/plexcount/oracle.py",
+     "if p > 6:",
+     "if p > 7:"),
+    ("colex order", "src/plexcount/oracle.py",
+     "key=lambda s: s[::-1]",
+     "key=lambda s: s"),
+    ("transposition generator", "src/plexcount/oracle.py",
+     "(1, 0) + tuple(range(2, p))",
+     "tuple(range(p))"),
+    ("strict CLI integer reader", "src/plexcount/cli.py",
+     "value = -_decimal(text[1:]) if text.startswith(\"-\") else _decimal(text)",
+     "value = int(text)"),
+    ("strict decimal strings, ASCII only", "src/plexcount/render.py",
+     "if not (text.isascii() and text.isdigit()):",
+     "if not text.isdigit():"),
+)
+
+
+def fail(message: str) -> None:
+    print(f"mutants.py: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def check_matches() -> None:
+    """Exit 2 unless every mutant's old text occurs exactly once in its file."""
+    bad = []
+    for name, file, old, _ in MUTANTS:
+        count = (ROOT / file).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            bad.append(f"{name}: old text occurs {count} times in {file}")
+    if bad:
+        fail("edits do not match exactly once:\n  " + "\n  ".join(bad))
+
+
+def run_tests(mutant: tuple[str, str, str, str] | None) -> str | None:
+    """Run pytest -x -q on a fresh copy with the mutant applied.
+
+    Returns None if the tests pass, else the first failing test's id.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory(prefix="plexcount-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, copy / name)
+        if mutant is not None:
+            _, file, old, new = mutant
+            target = copy / file
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new),
+                              encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, capture_output=True, text=True)
+    if result.returncode == 0:
+        return None
+    failed = [line.split()[1] for line in result.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit status {result.returncode}"
+
+
+def main() -> int:
+    check_matches()
+    start = time.perf_counter()
+    failure = run_tests(None)
+    if failure is not None:
+        fail(f"the unmutated tests fail ({failure}); no mutant was run")
+    survivors = 0
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        killer = run_tests(mutant)
+        survivors += killer is None
+        verdict = "SURVIVED" if killer is None else f"killed by {killer}"
+        print(f"{mutant[0]} ({mutant[1]}, {time.perf_counter() - t0:.1f} s): {verdict}",
+              flush=True)
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -68,6 +68,8 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
+        # no caller under src/ (substitute packs its own products); kept as the
+        # counting.poly_mul target that benchmarks/tracer.py wraps
         a, b = self.coeffs, other.coeffs
         _require_nonnegative(a)
         _require_nonnegative(b)
@@ -89,6 +91,7 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def __call__(self, value: int) -> int:
+        # no caller under src/; kept because benchmarks/child.py reads result(1)
         result = 0
         for c in reversed(self.coeffs):
             result = result * value + c

@@ -19,10 +19,11 @@ against two tables that live only for that call: the fixed r-subset count
 of each short-cycle profile, and each base order's divisors, every divisor
 e paired with Euler's phi of order / e (the walk ignores phi).  Most
 partitions meet profiles and orders that earlier ones already met, so most
-steps look their fixed count up instead of recounting it.  No table is kept
-between calls.  fixed_subset_count and partitions.power_cycle_type are the
-definitions the walk follows, kept in their modules (not the top-level
-namespace) as the reference the tests compare it against.
+steps look their fixed count up instead of recounting it.  No table and no
+result is kept between calls, so a repeated (p, r) walks again.
+fixed_subset_count and partitions.power_cycle_type are the definitions the
+walk follows, kept in their modules (not the top-level namespace) as the
+reference the tests compare it against.
 
 Everything here is exact integer arithmetic.  Any division that comes out
 inexact, or any negative intermediate multiplicity, raises ArithmeticError
@@ -31,7 +32,6 @@ instead of rounding.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 from .partitions import Partition, partitions_of, permutation_count
@@ -262,7 +262,6 @@ def _cycle_count(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...]
     return cycles
 
 
-@lru_cache(maxsize=128)
 def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int], ...]:
     """Unmerged cycle-index terms of S_p acting on r-subsets.
 
@@ -270,8 +269,8 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int
     p, in partitions_of order.  Distinct base partitions can induce the same
     cycle type; this form keeps them apart so each term stays auditable.
     All the partitions' divisor walks share one table of fixed counts and one
-    of divisors, made for this call and dropped on return.  The result
-    is cached; it is an immutable tuple, so callers share it safely.
+    of divisors, made for this call and dropped on return.  Nothing is
+    cached: each call walks every partition again and returns a new tuple.
     """
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= p, got p={p}, r={r}")
@@ -287,7 +286,7 @@ def cycle_index_subset_action(p: int, r: int) -> CycleIndex:
 
     Equal induced cycle types are merged by summing their weights, so the
     term count can drop below the number of partitions of p.  Each call
-    merges a new CycleIndex from the cached subset_action_terms, so the
+    merges a new CycleIndex from a fresh subset_action_terms walk, so the
     caller may edit the result without changing any later one.
     """
     merged: dict[Partition, int] = {}

@@ -5,9 +5,11 @@ fully expanded cycle indices, the unmerged eleven-term display of Z(S_6^(3)),
 and one known misprint in the published Z(S_8^(4)).  Loading requires the
 ``plexcount.golden/1`` format tag and every field's JSON type (ints for p, n
 and r, ASCII decimal strings for counts and coefficients, read by render's
-typed field, decimal and monomial readers), then validates the data's
+typed field, decimal and monomial readers) and at most one entry per key
+in counts, formulas and unmerged_formulas, then validates the data's
 internal consistency (term degrees, weight sums, the C(7,2) = C(7,3)
-coincidence), so a corrupted fixture fails fast rather than silently
+coincidence, a formula for every unmerged display and known discrepancy),
+so a corrupted fixture fails fast, with ValueError, rather than silently
 blessing wrong results.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 from math import comb, factorial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .partitions import Partition
 from .render import _decimal, _field, _monomial
@@ -50,7 +52,32 @@ def _parse_terms(entry: object) -> list[tuple[Partition, int]]:
     return [_parse_term(term) for term in _field(entry, "terms", list)]
 
 
+def _parse_formula(entry: object) -> Formula:
+    p, r = _key(entry, "r")
+    formula: Formula = {}
+    for monomial, coeff in _parse_terms(entry):
+        if monomial in formula:
+            raise ValueError(f"duplicate monomial in formula ({p},{r})")
+        formula[monomial] = coeff
+    return formula
+
+
+def _one_per_key(entries: list, section: str, second: str,
+                 parse: Callable[[object], object]) -> dict:
+    """Map each entry's (p, second) key to ``parse(entry)``; a repeated key raises."""
+    parsed = {}
+    for entry in entries:
+        p, q = key = _key(entry, second)
+        if key in parsed:
+            raise ValueError(f"{section} has more than one entry for p={p}, {second}={q}")
+        parsed[key] = parse(entry)
+    return parsed
+
+
 def _validate(data: GoldenData) -> None:
+    for n in (2, 3):
+        if (7, n) not in data.counts:
+            raise ValueError(f"reference counts have no entry for p=7, n={n}")
     if data.counts[(7, 2)] != data.counts[(7, 3)]:
         raise ValueError("reference counts must satisfy the (7,2) = (7,3) coincidence")
     for (p, n), value in data.counts.items():
@@ -68,7 +95,12 @@ def _validate(data: GoldenData) -> None:
                     f"{monomial.ambient}, expected {degree}")
         if sum(formula.values()) != factorial(p):
             raise ValueError(f"formula ({p},{r}) coefficients do not sum to {p}!")
+    for p, r in data.known_discrepancies:
+        if (p, r) not in data.formulas:
+            raise ValueError(f"known discrepancy ({p},{r}) names no formula")
     for (p, r), terms in data.unmerged_formulas.items():
+        if (p, r) not in data.formulas:
+            raise ValueError(f"unmerged terms for ({p},{r}) have no formula")
         merged: dict[Partition, int] = {}
         for monomial, coeff in terms:
             merged[monomial] = merged.get(monomial, 0) + coeff
@@ -85,19 +117,11 @@ def load_golden() -> GoldenData:
     raw = json.loads(fixture_path().read_text(encoding="utf-8"))
     if _field(raw, "format", str) != FORMAT:
         raise ValueError(f"reference data format {raw['format']!r} is not {FORMAT!r}")
-    counts = {_key(entry, "n"): _decimal(_field(entry, "count", str))
-              for entry in _field(raw, "counts", list)}
-    formulas = {}
-    for entry in _field(raw, "formulas", list):
-        p, r = _key(entry, "r")
-        formula: Formula = {}
-        for monomial, coeff in _parse_terms(entry):
-            if monomial in formula:
-                raise ValueError(f"duplicate monomial in formula ({p},{r})")
-            formula[monomial] = coeff
-        formulas[(p, r)] = formula
-    unmerged = {_key(entry, "r"): tuple(_parse_terms(entry))
-                for entry in raw.get("unmerged_formulas", [])}
+    counts = _one_per_key(_field(raw, "counts", list), "counts", "n",
+                          lambda entry: _decimal(_field(entry, "count", str)))
+    formulas = _one_per_key(_field(raw, "formulas", list), "formulas", "r", _parse_formula)
+    unmerged = _one_per_key(raw.get("unmerged_formulas", []), "unmerged_formulas", "r",
+                            lambda entry: tuple(_parse_terms(entry)))
     discrepancies: dict[tuple[int, int], list] = {}
     for entry in raw.get("known_discrepancies", []):
         discrepancies.setdefault(_key(entry, "r"), []).append(

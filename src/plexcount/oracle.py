@@ -147,8 +147,10 @@ def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
     the orbits of S_p on masks are the connected components of the two mask
     maps those generators induce.  Masks are swept in increasing order and a
     walk from each unseen one marks its whole orbit, which is counted once
-    under its number of set bits.  The p <= 6 and C(p, n+1) <= 20 caps keep
-    the state space at most 2^20 masks and are enforced, not advisory.
+    under its number of set bits.  Both caps, p <= 6 and C(p, n+1) <= 20,
+    are checked, but the p cap alone keeps the state space at most
+    2^C(6, 3) = 2^20 masks, so the 2^20-state guard cannot fire while it
+    holds; that guard stays for when the p cap is raised.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")

@@ -112,12 +112,75 @@ def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_pa
     def non_ascii_coeff(raw):
         raw["formulas"][0]["terms"][0]["coeff"] = "\u0661"
 
+    # a second entry for a key is rejected whether it comes first or last
+    def wrong_count_first(raw):
+        raw["counts"].insert(0, {"p": 4, "n": 1, "count": "12"})
+
+    def wrong_count_last(raw):
+        raw["counts"].append({"p": 4, "n": 1, "count": "12"})
+
+    def repeated_formula(raw):
+        raw["formulas"].append(raw["formulas"][0])
+
+    def repeated_unmerged(raw):
+        raw["unmerged_formulas"].append(raw["unmerged_formulas"][0])
+
+    def discrepancy_without_formula(raw):
+        raw["known_discrepancies"].append({**raw["known_discrepancies"][0], "p": 5, "r": 2})
+
+    def unmerged_without_formula(raw):
+        raw["formulas"] = [e for e in raw["formulas"] if (e["p"], e["r"]) != (6, 3)]
+
+    def zero_count(raw):
+        raw["counts"][0]["count"] = "0"
+
+    def broken_coincidence(raw):
+        entry = next(e for e in raw["counts"] if (e["p"], e["n"]) == (7, 3))
+        entry["count"] = "7013321"
+
+    # the (7,3) formula has no unmerged display, so only its own check applies
+    def zero_coeff(raw):
+        raw["formulas"][1]["terms"][0]["coeff"] = "0"
+
+    def wrong_degree(raw):
+        raw["formulas"][1]["terms"][0]["monomial"] = {"1": 34}
+
+    def wrong_weight_sum(raw):
+        raw["formulas"][1]["terms"][0]["coeff"] = "2"
+
+    def repeated_monomial(raw):
+        raw["formulas"][1]["terms"].append(raw["formulas"][1]["terms"][0])
+
+    def unmerged_off_formula(raw):
+        raw["unmerged_formulas"][0]["terms"][0]["coeff"] = "2"
+
+    def missing_count(n):
+        def corrupt(raw):
+            raw["counts"] = [e for e in raw["counts"] if (e["p"], e["n"]) != (7, n)]
+        return corrupt
+
     corrupted = tmp_path / "golden.json"
     monkeypatch.setattr(golden, "fixture_path", lambda: corrupted)
-    for corrupt in (float_count, bool_coeff, other_format, loose_count, signed_coeff,
-                    non_ascii_coeff):
+    for corrupt, message in (
+            (float_count, None), (bool_coeff, None), (other_format, None),
+            (loose_count, None), (signed_coeff, None), (non_ascii_coeff, None),
+            (wrong_count_first, r"counts has more than one entry for p=4, n=1$"),
+            (wrong_count_last, r"counts has more than one entry for p=4, n=1$"),
+            (repeated_formula, r"formulas has more than one entry for p=6, r=3$"),
+            (repeated_unmerged, r"unmerged_formulas has more than one entry for p=6, r=3$"),
+            (discrepancy_without_formula, r"known discrepancy \(5,2\) names no formula"),
+            (unmerged_without_formula, r"unmerged terms for \(6,3\) have no formula"),
+            (missing_count(2), "no entry for p=7, n=2"),
+            (missing_count(3), "no entry for p=7, n=3"),
+            (zero_count, r"count for p=1, n=1 is not positive"),
+            (broken_coincidence, r"\(7,2\) = \(7,3\) coincidence"),
+            (zero_coeff, r"non-positive coefficient in formula \(7,3\)"),
+            (wrong_degree, r"formula \(7,3\) term .* has degree 34, expected 35"),
+            (wrong_weight_sum, r"formula \(7,3\) coefficients do not sum"),
+            (repeated_monomial, r"duplicate monomial in formula \(7,3\)"),
+            (unmerged_off_formula, r"unmerged terms for \(6,3\) do not merge")):
         raw = json.loads(fixture_path().read_text(encoding="utf-8"))
         corrupt(raw)
         corrupted.write_text(json.dumps(raw), encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             load_golden()

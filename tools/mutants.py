@@ -7,9 +7,10 @@ otherwise report a survivor, or nothing, for code that has moved.  The
 unmutated tree is then tested once, and must pass (exit status 2 if not).
 After that each mutant is applied to its own temporary copy of ``src/``,
 ``tests/``, ``pyproject.toml`` and ``README.md``, and ``pytest -x -q`` runs
-there.  A mutant is killed when pytest fails, and the first failing test is
-named; it survives when pytest passes.  The exit status is 1 if any
-survives.
+there over every test file, the mutated module's own ``tests/test_<module>.py``
+first, so that most mutants fail early.  A mutant is killed when pytest
+fails, and the first failing test is named; it survives when the whole suite
+passes.  The exit status is 1 if any survives.
 
     python3 tools/mutants.py
 
@@ -72,6 +73,78 @@ MUTANTS = (
     ("strict decimal strings, ASCII only", "src/plexcount/render.py",
      "if not (text.isascii() and text.isdigit()):",
      "if not text.isdigit():"),
+    ("Partition int parts", "src/plexcount/partitions.py",
+     "if type(size) is not int or type(mult) is not int:",
+     "if False:"),
+    ("Partition part size >= 1", "src/plexcount/partitions.py",
+     "if size < 1:",
+     "if False:"),
+    ("Partition multiplicity >= 0", "src/plexcount/partitions.py",
+     "if mult < 0:",
+     "if False:"),
+    ("CycleIndex int group order and points", "src/plexcount/cycle_index.py",
+     "if type(group_order) is not int or type(ambient_points) is not int:",
+     "if False:"),
+    ("CycleIndex group order >= 1", "src/plexcount/cycle_index.py",
+     "if group_order < 1 or ambient_points < 0:",
+     "if False:"),
+    ("CycleIndex int weights", "src/plexcount/cycle_index.py",
+     "if type(weight) is not int:",
+     "if False:"),
+    ("CycleIndex weight >= 1", "src/plexcount/cycle_index.py",
+     "if weight < 1:",
+     "if False:"),
+    ("CycleIndex term degree", "src/plexcount/cycle_index.py",
+     "if cycle_type.ambient != ambient_points:",
+     "if False:"),
+    ("CycleIndex weight sum", "src/plexcount/cycle_index.py",
+     "if sum(terms.values()) != group_order:",
+     "if False:"),
+    ("golden one entry per key", "src/plexcount/golden.py",
+     "if key in parsed:",
+     "if False:"),
+    ("golden duplicate monomial", "src/plexcount/golden.py",
+     "if monomial in formula:",
+     "if False:"),
+    ("golden (7,2) and (7,3) present", "src/plexcount/golden.py",
+     "if (7, n) not in data.counts:",
+     "if False:"),
+    ("golden (7,2) = (7,3) coincidence", "src/plexcount/golden.py",
+     "if data.counts[(7, 2)] != data.counts[(7, 3)]:",
+     "if False:"),
+    ("golden positive counts", "src/plexcount/golden.py",
+     "if value < 1:",
+     "if False:"),
+    ("golden positive coefficients", "src/plexcount/golden.py",
+     "if coeff < 1:",
+     "if False:"),
+    ("golden term degree", "src/plexcount/golden.py",
+     "if monomial not in skip and monomial.ambient != degree:",
+     "if False:"),
+    ("golden weight sum", "src/plexcount/golden.py",
+     "if sum(formula.values()) != factorial(p):",
+     "if False:"),
+    ("golden discrepancy names a formula", "src/plexcount/golden.py",
+     "if (p, r) not in data.formulas:\n            raise ValueError(f\"known",
+     "if False:\n            raise ValueError(f\"known"),
+    ("golden unmerged display has a formula", "src/plexcount/golden.py",
+     "if (p, r) not in data.formulas:\n            raise ValueError(f\"unmerged",
+     "if False:\n            raise ValueError(f\"unmerged"),
+    ("golden unmerged merges to the formula", "src/plexcount/golden.py",
+     "if merged != data.formulas[(p, r)]:",
+     "if False:"),
+    ("induce_on_subsets bijection check", "src/plexcount/oracle.py",
+     "if sorted(perm) != list(range(p)):",
+     "if False:"),
+    ("induce_on_subsets r range", "src/plexcount/oracle.py",
+     "    if not 1 <= r <= p:\n        raise ValueError(f\"need 1 <= r <= {p}",
+     "    if False:\n        raise ValueError(f\"need 1 <= r <= {p}"),
+    ("cycle_type_of bijection check", "src/plexcount/oracle.py",
+     "if sorted(perm) != list(range(len(perm))):",
+     "if False:"),
+    ("p-cycle generator", "src/plexcount/oracle.py",
+     "tuple(range(1, p)) + (0,)",
+     "tuple(range(p))"),
 )
 
 
@@ -107,13 +180,18 @@ def run_tests(mutant: tuple[str, str, str, str] | None) -> str | None:
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(source, copy / name)
+        first = None
         if mutant is not None:
             _, file, old, new = mutant
             target = copy / file
             target.write_text(target.read_text(encoding="utf-8").replace(old, new),
                               encoding="utf-8")
+            first = f"tests/test_{target.stem}.py"
+        files = sorted((str(path.relative_to(copy))
+                        for path in (copy / "tests").glob("test_*.py")),
+                       key=lambda name: (name != first, name))
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files],
             cwd=copy, env=env, capture_output=True, text=True)
     if result.returncode == 0:
         return None

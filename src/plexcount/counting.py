@@ -9,7 +9,8 @@ The total alone, plex_count, needs no cycle index: it weights each
 partition of p by its class size times 2 to the number of cycles its
 permutations induce on (n+1)-subsets, a number Burnside's lemma gives
 from fixed-subset counts (cycle_index._cycle_count), with the fixed-count
-and divisor tables made for that call and dropped on return.
+and divisor tables made for that call and dropped on return.  The
+partitions are streamed, so the walk holds one at a time.
 
 All polynomial products here are Kronecker substitutions: coefficients go
 into fixed-width byte slots of one big integer, so a product is one

@@ -19,8 +19,10 @@ against two tables that live only for that call: the fixed r-subset count
 of each short-cycle profile, and each base order's divisors, every divisor
 e paired with Euler's phi of order / e (the walk ignores phi).  Most
 partitions meet profiles and orders that earlier ones already met, so most
-steps look their fixed count up instead of recounting it.  No table and no
-result is kept between calls, so a repeated (p, r) walks again.
+steps look their fixed count up instead of recounting it.  The partitions
+of p, and of r inside each fixed count, are streamed from partitions_of, not
+stored.  No table, partition or result is kept between calls, so a repeated
+(p, r) walks again.
 fixed_subset_count and partitions.power_cycle_type are the definitions the
 walk follows, kept in their modules (not the top-level namespace) as the
 reference the tests compare it against.

@@ -147,15 +147,14 @@ def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
     the orbits of S_p on masks are the connected components of the two mask
     maps those generators induce.  Masks are swept in increasing order and a
     walk from each unseen one marks its whole orbit, which is counted once
-    under its number of set bits.  Both caps, p <= 6 and C(p, n+1) <= 20,
-    are checked, but the p cap alone keeps the state space at most
-    2^C(6, 3) = 2^20 masks, so the 2^20-state guard cannot fire while it
-    holds; that guard stays for when the p cap is raised.
+    under its number of set bits.  Two caps are checked: p <= 7, and at most
+    2^20 states, C(p, n+1) <= 20.  At p = 7 the state cap refuses n = 1..4
+    (21 or 35 subsets) and lets n = 5 and 6 run.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
-    if p > 6:
-        raise ValueError(f"exhaustive enumeration is capped at p <= 6, got p={p}")
+    if p > 7:
+        raise ValueError(f"exhaustive enumeration is capped at p <= 7, got p={p}")
     r = n + 1
     width = comb(p, r)
     if width > 20:

@@ -1,18 +1,18 @@
 """Integer partitions in multiplicity form.
 
-A partition of p is the sorted tuple of its (part size, multiplicity) pairs.
-The same data describes the cycle type of a permutation (part sizes are cycle
-lengths), so this module also carries the two cycle-type computations the
-rest of the package is built on: counting the permutations with a given cycle
-type, and transforming a cycle type under powers.
+A partition of p is the sorted tuple of its (part size, multiplicity) pairs,
+and partitions_of streams them one at a time, keeping none.  The same data
+describes the cycle type of a permutation (part sizes are cycle lengths), so
+this module also carries the two cycle-type computations the rest of the
+package is built on: counting the permutations with a given cycle type, and
+transforming a cycle type under powers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from math import factorial, gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class Partition(tuple):
@@ -52,10 +52,6 @@ class Partition(tuple):
         """The number partitioned: the sum of all parts."""
         return sum(size * mult for size, mult in self)
 
-    def sizes(self) -> tuple[int, ...]:
-        """Distinct part sizes, ascending."""
-        return tuple(size for size, _ in self)
-
     def to_sizes(self) -> list[int]:
         """Expanded part list, largest first, e.g. [3, 2, 2, 1]."""
         out: list[int] = []
@@ -76,35 +72,42 @@ class Partition(tuple):
         return "+".join(str(size) for size in self.to_sizes())
 
 
-@lru_cache(maxsize=128)
-def partitions_of(p: int) -> tuple[Partition, ...]:
-    """All integer partitions of p, in decreasing-lexicographic part order.
+def partitions_of(p: int) -> Iterator[Partition]:
+    """Yield the integer partitions of p, in decreasing-lexicographic part order.
 
-    partitions_of(4) lists [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
-    partitions_of(0) is the single empty partition, which the subset-count
-    loops rely on.  Partitions are generated directly in multiplicity form:
-    the largest size first and then its multiplicity, both descending, with
-    the rest a partition into smaller sizes.  Each comes out as ascending
-    (size, positive multiplicity) pairs, already the canonical Partition
-    tuple, so none is re-sorted or re-validated.  The result is cached; it is
-    an immutable tuple.
+    partitions_of(4) yields [4], [3,1], [2,2], [2,1,1], [1,1,1,1], and
+    partitions_of(0) the single empty partition, which the subset-count loops
+    rely on.  A negative p raises ValueError at the call, not at the first
+    next().  Nothing is cached: each call returns a new iterator holding only
+    the current partition, so a full walk takes O(p) memory.
+
+    Each partition is the successor of the last (Knuth, TAOCP 4A 7.2.1.4,
+    Algorithm P; Zoghbi and Stojmenovic's ZS1) in multiplicity form: pop the
+    1s and one part of the smallest size s > 1 off a stack of (size, mult)
+    pairs, sizes descending, and refill those s + ones points with as many
+    parts of s - 1 as fit and one part of the rest.  The stack reversed is
+    already the canonical Partition tuple, so nothing is re-sorted or
+    re-validated.
     """
     if p < 0:
         raise ValueError(f"cannot partition {p}")
-    # by_total[n] lists the partitions of n into sizes <= cap, as ascending
-    # pairs in decreasing-lexicographic order.  Raising the cap puts those
-    # whose largest size is the new cap first, largest multiplicity first.
-    # Only the totals a partition of p can still need are built: p itself,
-    # and those below p - cap, since any larger size leaves at most that.
-    by_total = [[()]] + [[]] * p
-    for cap in range(1, p + 1):
-        previous = by_total
-        by_total = [[rest + ((cap, mult),)
-                     for mult in range(n // cap, 0, -1)
-                     for rest in previous[n - cap * mult]] + previous[n]
-                    if n < p - cap or n == p else None
-                    for n in range(p + 1)]
-    return tuple(tuple.__new__(Partition, pairs) for pairs in by_total[p])
+    return _successors(p)
+
+
+def _successors(p: int) -> Iterator[Partition]:
+    pairs = [(p, 1)] if p else []
+    while True:
+        yield tuple.__new__(Partition, pairs[::-1])
+        ones = pairs.pop()[1] if pairs and pairs[-1][0] == 1 else 0
+        if not pairs:
+            return
+        size, mult = pairs.pop()
+        if mult > 1:
+            pairs.append((size, mult - 1))
+        quotient, rest = divmod(size + ones, size - 1)
+        pairs.append((size - 1, quotient))
+        if rest:
+            pairs.append((rest, 1))
 
 
 def permutation_count(cycle_type: Partition) -> int:

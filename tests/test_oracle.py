@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from plexcount.counting import plex_count
+from plexcount.counting import plex_count, plex_polynomial
 from plexcount.oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
                               colex_subsets, induce_on_subsets, representative_of)
 from plexcount.partitions import Partition, partitions_of
@@ -130,8 +130,10 @@ def test_exhaustive_empty_state_space():
 
 
 def test_exhaustive_guards():
-    # (7, 1) also exceeds the 2^20 state cap; (7, 5) has C(7, 6) = 7 states,
-    # so only the p <= 6 cap refuses it
-    for p, n in ((7, 1), (7, 5), (0, 1), (4, 0)):
+    # (8, 6) has C(8, 7) = 8 states, so only the p <= 7 cap refuses it; at
+    # p = 7 the 2^20-state cap refuses n = 1..4, from C(7, 2) = 21 subsets up
+    for p, n in ((8, 6), (7, 1), (7, 2), (7, 3), (7, 4), (0, 1), (4, 0)):
         with pytest.raises(ValueError):
             exhaustive_plex_histogram(p, n)
+    for n in (5, 6):
+        assert exhaustive_plex_histogram(7, n) == list(plex_polynomial(7, n).coeffs)

@@ -2,7 +2,8 @@
 
 import copy
 import pickle
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from itertools import permutations
 from math import factorial
 
@@ -47,7 +48,7 @@ def test_partition_construction_and_views():
     j = Partition({3: 1, 2: 2, 1: 1})
     assert j.ambient == 8
     assert dict(j) == {1: 1, 2: 2, 3: 1}
-    assert j.sizes() == (1, 2, 3)
+    assert tuple(j) == ((1, 1), (2, 2), (3, 1))
     assert j.to_sizes() == [3, 2, 2, 1]
     assert j.num_parts() == 4
     assert str(j) == "3+2+2+1"
@@ -57,7 +58,7 @@ def test_partition_construction_and_views():
 
 def test_partition_zero_multiplicities_dropped():
     assert Partition({2: 1, 5: 0}) == Partition({2: 1})
-    assert Partition({2: 1, 5: 0}).sizes() == (2,)
+    assert tuple(Partition({2: 1, 5: 0})) == ((2, 1),)
 
 
 def test_partition_validation():
@@ -101,22 +102,22 @@ def test_partitions_of_4_exact_order():
 
 def test_partitions_of_edge_cases():
     assert [j.to_sizes() for j in partitions_of(1)] == [[1]]
-    assert partitions_of(0) == (Partition(),)
+    assert tuple(partitions_of(0)) == (Partition(),)
     with pytest.raises(ValueError):
-        partitions_of(-1)
+        partitions_of(-1)  # at the call, before any next()
 
 
 def test_partition_counts_up_to_20():
     for p, expected in enumerate(PARTITION_NUMBERS):
-        assert len(partitions_of(p)) == expected
-    assert len(partitions_of(9)) == 30
+        assert len(tuple(partitions_of(p))) == expected
+    assert len(tuple(partitions_of(9))) == 30
 
 
 def test_partitions_match_brute_force():
     for p in range(0, 21):
         generated = {tuple(j.to_sizes()) for j in partitions_of(p)}
         assert generated == brute_partition_set(p)
-        assert len(generated) == len(partitions_of(p))  # no duplicates emitted
+        assert len(generated) == len(tuple(partitions_of(p)))  # no duplicates emitted
 
 
 def descending_part_lists(remaining, cap):
@@ -132,13 +133,25 @@ def descending_part_lists(remaining, cap):
 def test_partitions_of_equals_validated_construction():
     # partitions_of builds its tuples directly; each must be the canonical
     # Partition that the validating constructor makes, in the same place
-    for p in range(0, 21):
+    for p in range(0, 31):
         reference = [Partition.from_sizes(sizes) for sizes in descending_part_lists(p, p)]
-        generated = partitions_of(p)
+        generated = tuple(partitions_of(p))
         assert len(generated) == len(reference)
         for got, want in zip(generated, reference):
             assert type(got) is Partition
             assert tuple(got) == tuple(want)
+
+
+def test_partitions_of_streams_in_constant_memory():
+    # the walk holds one partition at a time: all 37,338 partitions of 40
+    # built at once take about 10 MB
+    tracemalloc.start()
+    try:
+        deque(partitions_of(40), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_partitions_order_is_decreasing_lex():

@@ -48,7 +48,7 @@ def test_ordered_terms_put_identity_term_first():
     for p in range(1, 10):
         for r in range(1, p + 1):
             terms = ordered_terms(cycle_index_subset_action(p, r))
-            assert terms[0][0].sizes() == (1,)  # pure a_1 power leads
+            assert [size for size, _ in terms[0][0]] == [1]  # pure a_1 power leads
 
 
 def test_ordered_terms_sort_exponent_vectors_descending():

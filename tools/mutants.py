@@ -59,8 +59,11 @@ MUTANTS = (
      "if surplus_weight != notes_weight:",
      "if False:"),
     ("exhaustive p cap", "src/plexcount/oracle.py",
-     "if p > 6:",
-     "if p > 7:"),
+     "if p > 7:",
+     "if p > 8:"),
+    ("exhaustive 2^20-state cap", "src/plexcount/oracle.py",
+     "if width > 20:",
+     "if width > 21:"),
     ("colex order", "src/plexcount/oracle.py",
      "key=lambda s: s[::-1]",
      "key=lambda s: s"),
@@ -82,6 +85,12 @@ MUTANTS = (
     ("Partition multiplicity >= 0", "src/plexcount/partitions.py",
      "if mult < 0:",
      "if False:"),
+    ("partition successor keeps the remainder part", "src/plexcount/partitions.py",
+     "if rest:",
+     "if False:"),
+    ("partition successor keeps the larger parts of s", "src/plexcount/partitions.py",
+     "if mult > 1:",
+     "if mult > 2:"),
     ("CycleIndex int group order and points", "src/plexcount/cycle_index.py",
      "if type(group_order) is not int or type(ambient_points) is not int:",
      "if False:"),

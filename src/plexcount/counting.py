@@ -8,8 +8,9 @@ x^k coefficient is the number of n-plexes with exactly k n-simplexes.
 The total alone, plex_count, needs no cycle index: it weights each
 partition of p by its class size times 2 to the number of cycles its
 permutations induce on (n+1)-subsets, a number Burnside's lemma gives
-from fixed-subset counts (cycle_index._cycle_count), with the fixed-count
-and divisor tables made for that call and dropped on return.  The
+from fixed-subset counts (cycle_index._cycle_count).  It reads them from a
+cycle_index._PowerTables made for that call and dropped on return, which
+packs all of a partition's short-cycle profiles into one int.  The
 partitions are streamed, so the walk holds one at a time.
 
 All polynomial products here are Kronecker substitutions: coefficients go
@@ -27,7 +28,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable
 
-from .cycle_index import CycleIndex, _cycle_count, cycle_index_subset_action
+from .cycle_index import CycleIndex, _cycle_count, _PowerTables, cycle_index_subset_action
 from .partitions import partitions_of, permutation_count
 
 
@@ -228,20 +229,20 @@ def plex_count(p: int, n: int) -> int:
     (1/p!) sum_j |C_j| * 2**c(j) over the partitions j of p, |C_j| the size
     of the conjugacy class.  c(j) comes from the fixed (n+1)-subset counts of
     the powers of j (see cycle_index._cycle_count), so no induced cycle type
-    or cycle index is built; the fixed-count and divisor tables live for
-    this call only.  The total must agree with plex_polynomial(p, n) at
-    x = 1, and a remainder in the division by p! raises ArithmeticError.
+    or cycle index is built; one cycle_index._PowerTables, which packs every
+    power's short-cycle profile into one int per partition, serves all the
+    partitions and lives for this call only.  The total must agree with
+    plex_polynomial(p, n) at x = 1, and a remainder in the division by p!
+    raises ArithmeticError.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     if p < n + 1:
         return 1
-    fixed_by_profile: dict[tuple[int, ...], int] = {}
-    divisors_by_order: dict[int, list[tuple[int, int]]] = {}
+    tables = _PowerTables(p, n + 1)
     doubled = 0
     for base in partitions_of(p):
-        doubled += permutation_count(base) << _cycle_count(
-            base, n + 1, fixed_by_profile, divisors_by_order)
+        doubled += permutation_count(base) << _cycle_count(base, tables)
     group_order = factorial(p)
     quotient, remainder = divmod(doubled, group_order)
     if remainder:

@@ -6,23 +6,29 @@ type induced on r-element subsets is computed from the base cycle type
 alone, with no explicit permutations: a subset is fixed exactly when it is
 a union of whole cycles, which gives the number of 1-cycles of every power
 of the induced permutation, and the full induced cycle type follows by
-inversion over the divisors of the base permutation's order.  That walk
-runs on plain ints, with the short cycles of each power in a list indexed by
-cycle length, and builds its result directly as the canonical Partition
-tuple.  counting.plex_count needs only the number of induced cycles, which
+inversion over the divisors of the base permutation's order.  The walk
+builds its result directly as the canonical Partition tuple.
+counting.plex_count needs only the number of induced cycles, which
 _cycle_count gets from the same fixed counts by Burnside's lemma on the
 cyclic group the permutation generates, without building the induced cycle
-type.  Both read every fixed count through one helper, _fixed_count.
+type.
 
-For one (p, r), subset_action_terms and plex_count run every partition
-against two tables that live only for that call: the fixed r-subset count
-of each short-cycle profile, and each base order's divisors, every divisor
-e paired with Euler's phi of order / e (the walk ignores phi).  Most
-partitions meet profiles and orders that earlier ones already met, so most
-steps look their fixed count up instead of recounting it.  The partitions
-of p, and of r inside each fixed count, are streamed from partitions_of, not
-stored.  No table, partition or result is kept between calls, so a repeated
-(p, r) walks again.
+Both read their fixed counts from one _PowerTables, made for one (p, r) per
+call and dropped on return.  A power's fixed count depends only on its
+short-cycle profile: the number of its cycles of each length l <= r, since
+a longer cycle lies in no fixed r-subset.  The e-th power turns each
+k-cycle into g = gcd(e, k) cycles of length k / g, so the profiles of all
+the powers are linear in the base's multiplicities.  For an order L and a
+part size k, one int, a row, holds g in byte slot (i, k / g) for the i-th
+divisor e of L whenever k / g <= r, and a base with multiplicities m_k has
+every divisor's profile packed in sum_k m_k * row(L, k).  No slot exceeds
+p, so slots (p.bit_length() + 7) // 8 bytes wide never carry.  That int's
+bytes, cut per divisor, key a table of fixed counts, each filled on its
+first lookup from the partitions of r, which are walked once per call.  The
+rows, and each order's divisors with their Euler phis, are kept for the
+call too, so most partitions look every count up instead of recounting it.
+The partitions of p are streamed from partitions_of, not stored.  No table,
+partition or result is kept between calls, so a repeated (p, r) walks again.
 fixed_subset_count and partitions.power_cycle_type are the definitions the
 walk follows, kept in their modules (not the top-level namespace) as the
 reference the tests compare it against.
@@ -35,6 +41,8 @@ instead of rounding.
 from __future__ import annotations
 
 from math import comb, factorial, gcd, lcm
+from operator import mul
+from typing import Iterator
 
 from .partitions import Partition, partitions_of, permutation_count
 
@@ -108,29 +116,124 @@ def fixed_subset_count(cycle_type: Partition, r: int) -> int:
     return total
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _divisor_totients(n: int) -> list[tuple[int, int]]:
     """(e, phi(n / e)) for each divisor e of n, in increasing order of e.
 
-    Euler's phi comes from d = sum of phi(c) over the divisors c of d, taken
-    over the divisors of n in increasing order, so nothing is factored.
+    Both come from n's prime factors, found by trial division: each prime
+    power q**a of n multiplies every divisor d found so far by q**1..q**a,
+    and phi(d * q**j) = phi(d) * q**(j - 1) * (q - 1).  A base order's
+    primes are all at most p, so the search takes at most p steps.
     """
-    divisors = _divisors(n)
-    totients: dict[int, int] = {}
-    for d in divisors:
-        totients[d] = d - sum(t for c, t in totients.items() if d % c == 0)
-    return [(e, totients[n // e]) for e in divisors]
+    phi_of = {1: 1}
+    rest, q = n, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        power = 0
+        while rest % q == 0:
+            rest //= q
+            power += 1
+        if power:
+            for d, phi in list(phi_of.items()):
+                phi *= q - 1
+                for _ in range(power):
+                    d *= q
+                    phi_of[d] = phi
+                    phi *= q
+        q += 1
+    return [(e, phi_of[n // e]) for e in sorted(phi_of)]
+
+
+class _FixedCounts(dict):
+    """Fixed r-subset count of each short-cycle profile, filled on first lookup.
+
+    A key is a profile's bytes: slot l - 1, ``width`` bytes little-endian,
+    holds the number of l-cycles for l = 1..r, which alone determine the
+    count.  The partitions of r are walked once, when the table is made.
+    """
+
+    __slots__ = ("width", "subs")
+
+    def __init__(self, r: int, width: int):
+        super().__init__()
+        self.width = width
+        self.subs = tuple(partitions_of(r))
+
+    def __missing__(self, profile: bytes) -> int:
+        w = self.width
+        short = [0]
+        short.extend(int.from_bytes(profile[i:i + w], "little")
+                     for i in range(0, len(profile), w))
+        fixed = 0
+        for sub in self.subs:
+            ways = 1
+            for length, needed in sub:
+                ways *= comb(short[length], needed)
+                if not ways:
+                    break
+            fixed += ways
+        self[profile] = fixed
+        return fixed
+
+
+class _PowerTables:
+    """The tables one call's walks share, for cycle types of p points at one r.
+
+    ``orders`` maps each base order L met to its divisors in increasing
+    order, their phi(L / e), one slice of packed profile bytes per divisor,
+    and its rows by part size (see the module docstring); ``fixed`` is the
+    _FixedCounts of the profiles met.  ValueError unless 1 <= r <= p.
+    """
+
+    __slots__ = ("r", "points", "width", "fixed", "orders")
+
+    def __init__(self, p: int, r: int):
+        if not 1 <= r <= p:
+            raise ValueError(f"need 1 <= r <= {p}, got r={r}")
+        self.r = r
+        self.points = comb(p, r)
+        self.width = (p.bit_length() + 7) // 8
+        self.fixed = _FixedCounts(r, self.width)
+        self.orders: dict[int, tuple[tuple[int, ...], tuple[int, ...],
+                                     tuple[slice, ...], dict[int, int]]] = {}
+
+    def powers(self, base: Partition
+               ) -> tuple[int, tuple[int, ...], tuple[int, ...], Iterator[int]]:
+        """A base cycle type's order L, L's divisors e, their phi(L / e), and fixed counts.
+
+        The last is an iterator over the number of r-subsets fixed by each
+        e-th power, in divisor order, looked up lazily, so a walk that stops
+        early skips the rest.
+        """
+        order = 1
+        for size, _ in base:
+            order = lcm(order, size)
+        entry = self.orders.get(order)
+        if entry is None:
+            divisors, phis = zip(*_divisor_totients(order))
+            span = self.r * self.width
+            slices = tuple(slice(i * span, (i + 1) * span) for i in range(len(divisors)))
+            entry = self.orders[order] = divisors, phis, slices, {}
+        divisors, phis, slices, rows = entry
+        packed = 0
+        for size, count in base:
+            row = rows.get(size)
+            if row is None:
+                row = rows[size] = self._row(divisors, size)
+            packed += count * row
+        profiles = packed.to_bytes(slices[-1].stop, "little")
+        return order, divisors, phis, map(self.fixed.__getitem__,
+                                          map(profiles.__getitem__, slices))
+
+    def _row(self, divisors: tuple[int, ...], size: int) -> int:
+        """The packed short cycles that one size-cycle gives each divisor's power."""
+        r, bits = self.r, 8 * self.width
+        row = 0
+        for i, e in enumerate(divisors):
+            g = gcd(e, size)
+            if size <= r * g:
+                row += g << bits * (i * r + size // g - 1)
+        return row
 
 
 def induced_cycle_type(base: Partition, r: int) -> Partition:
@@ -145,89 +248,34 @@ def induced_cycle_type(base: Partition, r: int) -> Partition:
     permutation's order divides the base order.  The loop stops as soon as
     the recovered cycles cover all C(p, r) points.
 
-    The walk computes that fixed count on ints alone (see _fixed_count).  The
-    multiplicities are recorded in increasing divisor order and only when
-    positive, so the result is built directly as the canonical Partition
-    tuple, with no re-sorting or re-validation.  This is the walk
-    subset_action_terms runs for each partition; here it gets empty tables of
-    fixed counts and divisors, dropped on return.
+    The walk reads those fixed counts from packed short-cycle profiles (see
+    _PowerTables).  The multiplicities are recorded in increasing divisor
+    order and only when positive, so the result is built directly as the
+    canonical Partition tuple, with no re-sorting or re-validation.  This is
+    the walk subset_action_terms runs for each partition; here it gets
+    tables of its own, dropped on return.
     """
-    return _induced_walk(base, r, {}, {})
+    return _induced_walk(base, _PowerTables(base.ambient, r))
 
 
-def _base_divisors(base: Partition, r: int,
-                   divisors_by_order: dict[int, list[tuple[int, int]]]
-                   ) -> tuple[int, int, list[tuple[int, int]]]:
-    """The points p and order L of a base cycle type, and L's divisor table.
-
-    The table holds (e, phi(L / e)) for each divisor e of L, in increasing
-    order of e; ``divisors_by_order`` keeps it per order.  ValueError unless
-    1 <= r <= p.
-    """
-    p = 0
-    order = 1
-    for size, count in base:
-        p += size * count
-        order = lcm(order, size)
-    if not 1 <= r <= p:
-        raise ValueError(f"need 1 <= r <= {p}, got r={r}")
-    divisors = divisors_by_order.get(order)
-    if divisors is None:
-        divisors = divisors_by_order[order] = _divisor_totients(order)
-    return p, order, divisors
-
-
-def _fixed_count(base: Partition, r: int, m: int,
-                 fixed_by_profile: dict[tuple[int, ...], int]) -> int:
-    """Number of r-subsets fixed by the m-th power of a base cycle type.
-
-    Each k-cycle of the base becomes gcd(m, k) cycles of length k / gcd(m, k)
-    in the m-th power, and only lengths up to r are kept, since a longer
-    cycle lies in no fixed r-subset, so a list indexed by cycle length 0..r
-    holds them.  ``fixed_by_profile`` maps that list, as a tuple, to its
-    fixed count, which it alone determines at this r.
-    """
-    short = [0] * (r + 1)
-    for size, count in base:
-        g = gcd(m, size)
-        if size <= r * g:
-            short[size // g] += g * count
-    profile = tuple(short)
-    fixed = fixed_by_profile.get(profile)
-    if fixed is None:
-        fixed = 0
-        for sub in partitions_of(r):
-            ways = 1
-            for length, needed in sub:
-                ways *= comb(short[length], needed)
-                if not ways:
-                    break
-            fixed += ways
-        fixed_by_profile[profile] = fixed
-    return fixed
-
-
-def _induced_walk(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...], int],
-                  divisors_by_order: dict[int, list[tuple[int, int]]]) -> Partition:
+def _induced_walk(base: Partition, tables: _PowerTables) -> Partition:
     """induced_cycle_type's divisor walk, reading and filling the given tables.
 
-    ``fixed_by_profile`` is _fixed_count's table and ``divisors_by_order``
-    _base_divisors'; both hold only what r and their keys determine, so
-    every walk and cycle count at the same r may share them.
+    The tables hold only what their p and r determine, so every walk and
+    cycle count over cycle types of p points at that r may share them.
     """
-    p, _, divisors = _base_divisors(base, r, divisors_by_order)
-    points = comb(p, r)
+    _, divisors, _, fixed_counts = tables.powers(base)
+    points = tables.points
     found: list[tuple[int, int]] = []
     covered = 0
-    for m, _ in divisors:
-        fixed = _fixed_count(base, r, m, fixed_by_profile)
+    for m, fixed in zip(divisors, fixed_counts):
         for d, md in found:
             if m % d == 0:
                 fixed -= d * md
         quotient, leftover = divmod(fixed, m)
         if leftover or quotient < 0:
             raise ArithmeticError(
-                f"cycle-type inversion failed at m={m} for base {base!r}, r={r}: "
+                f"cycle-type inversion failed at m={m} for base {base!r}, r={tables.r}: "
                 f"{fixed} is not a nonnegative multiple of {m}")
         if quotient:
             found.append((m, quotient))
@@ -240,8 +288,7 @@ def _induced_walk(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...
     return tuple.__new__(Partition, found)
 
 
-def _cycle_count(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...], int],
-                 divisors_by_order: dict[int, list[tuple[int, int]]]) -> int:
+def _cycle_count(base: Partition, tables: _PowerTables) -> int:
     """Number of cycles of the permutation a base cycle type induces on r-subsets.
 
     By Burnside's lemma on the cyclic group generated by the permutation,
@@ -249,17 +296,15 @@ def _cycle_count(base: Partition, r: int, fixed_by_profile: dict[tuple[int, ...]
     (1/L) sum_{e | L} phi(L / e) * F(e), F(e) being the number of r-subsets
     fixed by the e-th power: of the L powers, the phi(L / e) whose exponent
     has gcd e with L generate the same subgroup as the e-th, so fix the same
-    subsets.  It takes the same tables as _induced_walk but never builds the
+    subsets.  It reads the same tables as _induced_walk but never builds the
     induced cycle type.  A remainder raises ArithmeticError.
     """
-    _, order, divisors = _base_divisors(base, r, divisors_by_order)
-    orbit_sum = 0
-    for e, phi in divisors:
-        orbit_sum += phi * _fixed_count(base, r, e, fixed_by_profile)
+    order, _, phis, fixed_counts = tables.powers(base)
+    orbit_sum = sum(map(mul, phis, fixed_counts))
     cycles, remainder = divmod(orbit_sum, order)
     if remainder:
         raise ArithmeticError(
-            f"orbit sum {orbit_sum} of base {base!r}, r={r} is not divisible "
+            f"orbit sum {orbit_sum} of base {base!r}, r={tables.r} is not divisible "
             f"by its order {order}")
     return cycles
 
@@ -270,16 +315,14 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int
     One (base partition, induced cycle type, weight) triple per partition of
     p, in partitions_of order.  Distinct base partitions can induce the same
     cycle type; this form keeps them apart so each term stays auditable.
-    All the partitions' divisor walks share one table of fixed counts and one
-    of divisors, made for this call and dropped on return.  Nothing is
-    cached: each call walks every partition again and returns a new tuple.
+    All the partitions' divisor walks share one _PowerTables, made for this
+    call and dropped on return.  Nothing is cached: each call walks every
+    partition again and returns a new tuple.
     """
     if not 1 <= r <= p:
         raise ValueError(f"need 1 <= r <= p, got p={p}, r={r}")
-    fixed_by_profile: dict[tuple[int, ...], int] = {}
-    divisors_by_order: dict[int, list[tuple[int, int]]] = {}
-    return tuple((j, _induced_walk(j, r, fixed_by_profile, divisors_by_order),
-                  permutation_count(j))
+    tables = _PowerTables(p, r)
+    return tuple((j, _induced_walk(j, tables), permutation_count(j))
                  for j in partitions_of(p))
 
 

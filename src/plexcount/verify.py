@@ -22,7 +22,7 @@ from math import comb
 from typing import NamedTuple
 
 from .counting import plex_count, plex_polynomial
-from .cycle_index import cycle_index_subset_action, induced_cycle_type, subset_action_terms
+from .cycle_index import cycle_index_subset_action, subset_action_terms
 from .golden import GoldenData, load_golden
 from .oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
                      induce_on_subsets, representative_of)
@@ -122,12 +122,12 @@ def check_formulas() -> list[CheckResult]:
 
 
 def _check_induced(p: int) -> CheckResult:
+    # one subset_action_terms walk per r, so its tables serve every partition
+    perms = [representative_of(base) for base in partitions_of(p)]
     checked = 0
-    for base in partitions_of(p):
-        perm = representative_of(base)
-        for r in range(1, p + 1):
+    for r in range(1, p + 1):
+        for perm, (base, derived, _) in zip(perms, subset_action_terms(p, r)):
             direct = cycle_type_of(induce_on_subsets(perm, r))
-            derived = induced_cycle_type(base, r)
             if direct != derived:
                 return CheckResult(
                     f"induced cycle types p={p}", False,

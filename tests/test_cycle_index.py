@@ -3,7 +3,7 @@
 import importlib
 import pkgutil
 from collections import Counter
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, permutations, repeat
 from math import comb, factorial, gcd, lcm
 
 import pytest
@@ -134,23 +134,23 @@ def test_induced_cycle_type_matches_reference_at_large_p(case):
 
 
 def test_cycle_count_matches_induced_cycle_type():
-    # plex_count's Burnside cycle count shares one pair of tables per (p, r)
+    # plex_count's Burnside cycle count shares one set of tables per (p, r)
     for p in range(1, 13):
         for r in range(1, p + 1):
-            fixed_by_profile, divisors_by_order = {}, {}
+            tables = cycle_index._PowerTables(p, r)
             for j in partitions_of(p):
-                cycles = cycle_index._cycle_count(j, r, fixed_by_profile, divisors_by_order)
+                cycles = cycle_index._cycle_count(j, tables)
                 assert cycles == sum(mult for _, mult in induced_cycle_type(j, r))
     for r in (0, 4):
         with pytest.raises(ValueError, match=f"need 1 <= r <= 3, got r={r}"):
-            cycle_index._cycle_count(Partition({3: 1}), r, {}, {})
+            cycle_index._cycle_count(Partition({3: 1}), cycle_index._PowerTables(3, r))
 
 
 @settings(deadline=None)
 @given(PARTITION_AND_R)
 def test_cycle_count_matches_induced_cycle_type_at_large_p(case):
     base, r = case
-    cycles = cycle_index._cycle_count(base, r, {}, {})
+    cycles = cycle_index._cycle_count(base, cycle_index._PowerTables(base.ambient, r))
     assert cycles == sum(mult for _, mult in induced_cycle_type(base, r))
     assert cycles == reference_induced_cycle_type(base, r).num_parts()
 
@@ -174,7 +174,7 @@ def test_cycle_count_guard_on_inexact_orbit_sum(monkeypatch):
     # sum 0 + 3 over its powers, which its order 2 does not divide
     monkeypatch.setattr(cycle_index, "partitions_of", lambda n: (Partition({1: n}),))
     with pytest.raises(ArithmeticError, match="orbit sum 3 .* not divisible by its order 2"):
-        cycle_index._cycle_count(Partition({1: 1, 2: 1}), 2, {}, {})
+        cycle_index._cycle_count(Partition({1: 1, 2: 1}), cycle_index._PowerTables(3, 2))
     # plex_count(3, 1) reaches that base after {3: 1}, whose sum 0 + 3 divides by 3
     with pytest.raises(ArithmeticError, match="orbit sum 3 .* not divisible by its order 2"):
         plex_count(3, 1)
@@ -193,9 +193,34 @@ def test_inversion_guard_on_negative_multiple(monkeypatch):
         subset_action_terms(6, 1)
 
 
+def test_profile_slots_wider_than_a_byte():
+    # from p = 256 on, a short-cycle count can exceed 255, so each profile
+    # slot takes two bytes; one byte would carry into the next slot
+    for sizes, r in (({1: 300, 2: 3}, 2), ({1: 260, 3: 2, 6: 1}, 3)):
+        base = Partition(sizes)
+        assert base.ambient >= 256
+        reference = reference_induced_cycle_type(base, r)
+        assert induced_cycle_type(base, r) == reference
+        tables = cycle_index._PowerTables(base.ambient, r)
+        assert cycle_index._cycle_count(base, tables) == reference.num_parts()
+
+
+def test_divisor_totients_match_brute_force():
+    # phi(n) counted as the k in 1..n coprime to n; divisors by sieving
+    limit = 5000
+    phi = [0] + [list(map(gcd, range(1, n + 1), repeat(n))).count(1)
+                 for n in range(1, limit + 1)]
+    divisors = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for multiple in range(d, limit + 1, d):
+            divisors[multiple].append(d)
+    for n in range(1, limit + 1):
+        assert cycle_index._divisor_totients(n) == [(e, phi[n // e]) for e in divisors[n]]
+
+
 def test_shared_walk_tables_match_fresh_ones():
-    # subset_action_terms shares one fixed-count table and one divisor table
-    # across all partitions of p; induced_cycle_type starts from empty ones
+    # subset_action_terms shares one _PowerTables across all partitions of p;
+    # induced_cycle_type makes its own
     cases = [(p, r) for p in range(1, 15) for r in range(1, p + 1)] + [(24, 3)]
     for p, r in cases:
         fresh = tuple((j, induced_cycle_type(j, r), permutation_count(j))

@@ -7,7 +7,7 @@ from plexcount.cli import main
 from plexcount.counting import IntPolynomial
 from plexcount.cycle_index import CycleIndex
 from plexcount.golden import load_golden
-from plexcount.partitions import Partition
+from plexcount.partitions import Partition, partitions_of
 from plexcount.verify import (CheckResult, check_counts, check_formulas,
                               check_oracle, run_scope)
 
@@ -88,7 +88,8 @@ def test_check_formulas_reports_replacement_weight_mismatch():
 
 
 def test_check_oracle_reports_disagreement(monkeypatch):
-    monkeypatch.setattr(verify, "induced_cycle_type", lambda base, r: Partition())
+    monkeypatch.setattr(verify, "subset_action_terms",
+                        lambda p, r: [(base, Partition(), 1) for base in partitions_of(p)])
     monkeypatch.setattr(verify, "plex_polynomial", lambda p, n: IntPolynomial([7]))
     results = check_oracle()
     assert not any(result.passed for result in results)

@@ -55,6 +55,9 @@ MUTANTS = (
     ("inversion point-cover guard", "src/plexcount/cycle_index.py",
      "    if covered != points:\n        raise",
      "    if False:\n        raise"),
+    ("profile slot width fixed at one byte", "src/plexcount/cycle_index.py",
+     "self.width = (p.bit_length() + 7) // 8",
+     "self.width = 1"),
     ("replacement weight check", "src/plexcount/verify.py",
      "if surplus_weight != notes_weight:",
      "if False:"),

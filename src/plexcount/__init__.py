@@ -9,8 +9,7 @@ and totals, and cross-validates everything against independent brute-force
 oracles and bundled reference data.
 """
 
-from .counting import (ONE, ONE_PLUS_X, IntPolynomial, plex_count, plex_polynomial,
-                       substitute)
+from .counting import ONE, IntPolynomial, plex_count, plex_polynomial, substitute
 from .cycle_index import (CycleIndex, cycle_index_subset_action, induced_cycle_type,
                           subset_action_terms)
 from .golden import GoldenData, fixture_path, load_golden
@@ -26,7 +25,6 @@ __all__ = [
     "GoldenData",
     "IntPolynomial",
     "ONE",
-    "ONE_PLUS_X",
     "Partition",
     "burnside_polynomial",
     "cycle_index_subset_action",

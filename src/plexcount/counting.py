@@ -19,8 +19,8 @@ big-integer multiply or power.  One rule sets every slot width: a slot is
 wide enough when it holds the product's value at x = 1, which bounds every
 coefficient when none is negative.  substitute keeps each cycle-index term
 packed from first factor to last, widening its slots as factors come in,
-and for a palindromic figure such as 1 + x it computes only the lower half
-of every term and mirrors it (see substitute).
+and since 1 + x is palindromic it computes only the lower half of every
+term and mirrors it (see substitute).
 """
 
 from __future__ import annotations
@@ -152,52 +152,42 @@ def _repack(packed: int, width: int, new_width: int, step: int, slots: int) -> i
 
 
 ONE = IntPolynomial((1,))
-ONE_PLUS_X = IntPolynomial((1, 1))
 
 
-def substitute(index: CycleIndex, figure: IntPolynomial) -> IntPolynomial:
-    """Substitute figure(x^k) for the k-th cycle-index variable and average.
+def substitute(index: CycleIndex) -> IntPolynomial:
+    """Substitute 1 + x^k for the k-th cycle-index variable and average.
 
     Each term with cycle type of multiplicities m_k and weight w contributes
-    w * prod_k figure(x^k)**m_k; the sum over terms is divided coefficient by
-    coefficient by the group order.  For a genuine cycle index and an integer
-    figure polynomial that division is exact; a remainder is an internal
-    error and raises ArithmeticError.  The figure needs nonnegative
-    coefficients (ValueError otherwise), which bound every coefficient of a
-    product by its value at x = 1.
+    w * prod_k (1 + x^k)**m_k; the sum over terms is divided coefficient by
+    coefficient by the group order.  For a genuine cycle index that division
+    is exact; a remainder is an internal error and raises ArithmeticError.
 
     Each term stays one packed integer from start to finish.  After factors
-    with P cycles in all, its slots are as wide as figure(1)**P needs;
-    figure(x^k)**m is packed at the width of figure(1)**m, raised to the
-    power m, and moved to the wider slots and stretched by k in one
+    with P cycles in all, its slots are as wide as its value at x = 1, 2**P,
+    needs; (1 + x)**m is packed at the width of 2**m, raised to the power m, and moved to the wider slots and stretched by k in one
     _repack.  Weighted terms are summed in slots as wide as the sum over
-    terms of w * figure(1)**P, and unpacked once.
+    terms of w * 2**P, and unpacked once.
 
-    A palindromic figure of degree d makes every term palindromic of degree
-    d * N, N the number of points acted on: stretching and multiplying keep
-    palindromes palindromic, their degrees adding.  So only the slots up to
-    the middle one are kept, cut back after every product (a product's low
-    slots depend only on its operands' low slots), and the upper half is
-    their mirror image.  Any other figure keeps every slot and mirrors none.
+    1 + x is palindromic, so every term is palindromic of degree N, the
+    number of points acted on: stretching and multiplying keep palindromes
+    palindromic, their degrees adding.  So only the slots up to the middle
+    one are kept, cut back after every product (a product's low slots depend
+    only on its operands' low slots), and the upper half is their mirror
+    image.
     """
-    f = figure.coeffs
-    _require_nonnegative(f)
-    at_one = sum(f)
-    # the zero figure counts as degree 0: every term with a cycle is then 0
-    figure_degree = max(len(f) - 1, 0)
-    degree = figure_degree * index.ambient_points
-    slots = degree // 2 + 1 if f == f[::-1] else degree + 1
-    width = _slot_width(sum(weight * at_one ** cycle_type.num_parts()
+    degree = index.ambient_points
+    slots = degree // 2 + 1
+    width = _slot_width(sum(weight << cycle_type.num_parts()
                             for cycle_type, weight in index.terms.items()))
     total = 0
     for cycle_type, weight in index.terms.items():
         term, term_width, term_slots, parts = 1, 1, 1, 0
         for size, mult in cycle_type:
-            power_width = _slot_width(at_one ** mult)
-            power = _pack(f, power_width) ** mult
+            power_width = _slot_width(1 << mult)
+            power = ((1 << 8 * power_width) + 1) ** mult
             parts += mult
-            new_width = _slot_width(at_one ** parts)
-            power_slots = min(figure_degree * mult, (slots - 1) // size) + 1
+            new_width = _slot_width(1 << parts)
+            power_slots = min(mult, (slots - 1) // size) + 1
             factor = _repack(power, power_width, new_width, size, power_slots)
             term = _repack(term, term_width, new_width, 1, term_slots) * factor
             term_width = new_width
@@ -217,7 +207,7 @@ def plex_polynomial(p: int, n: int) -> IntPolynomial:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     if p < n + 1:
         return ONE
-    return substitute(cycle_index_subset_action(p, n + 1), ONE_PLUS_X)
+    return substitute(cycle_index_subset_action(p, n + 1))
 
 
 def plex_count(p: int, n: int) -> int:

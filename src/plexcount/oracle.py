@@ -31,7 +31,7 @@ from .partitions import Partition, partitions_of, permutation_count
 ExplicitPermutation = tuple[int, ...]
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def colex_subsets(p: int, r: int) -> tuple[tuple[int, ...], ...]:
     """The r-subsets of 0..p-1 in colex order (compare largest elements first).
 

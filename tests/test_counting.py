@@ -3,12 +3,11 @@
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from plexcount import counting
-from plexcount.counting import (ONE, ONE_PLUS_X, IntPolynomial, plex_count,
-                                plex_polynomial, substitute)
+from plexcount.counting import ONE, IntPolynomial, plex_count, plex_polynomial, substitute
 from plexcount.cycle_index import CycleIndex, cycle_index_subset_action
 from plexcount.partitions import Partition, permutation_count
 
@@ -104,57 +103,18 @@ def _naive_substitute(index, figure):
     return IntPolynomial(c // index.group_order for c in total)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p))),
-       st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=4))
-def test_substitute_matches_term_by_term_reference(pr, figure):
-    index = cycle_index_subset_action(*pr)
-    assert substitute(index, IntPolynomial(figure)) == _naive_substitute(index, figure)
-
-
-def _palindrome(end, inner, middle):
-    return [end, *inner, *middle, *inner[::-1], end]
-
-
-# nonzero end coefficients, so that IntPolynomial strips nothing and the
-# figure stays palindromic; with and without a middle coefficient
-PALINDROMES = st.builds(_palindrome, st.integers(1, 2 ** 70),
-                        st.lists(st.integers(0, 2 ** 70), max_size=2),
-                        st.lists(st.integers(0, 2 ** 70), max_size=1))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p))),
-       PALINDROMES)
-def test_substitute_palindromic_figure_matches_term_by_term_reference(pr, figure):
-    assert figure == figure[::-1]
-    index = cycle_index_subset_action(*pr)
-    assert substitute(index, IntPolynomial(figure)) == _naive_substitute(index, figure)
-
-
-def test_substitute_degenerate_and_odd_even_figures():
+def test_substitute_matches_term_by_term_reference():
+    # C(p, r) points take both parities, so the mirrored upper half has the
+    # same length as the lower one or one slot less
     parities = set()
-    for p, r in ((3, 1), (4, 1), (4, 2), (5, 2), (5, 3)):
-        index = cycle_index_subset_action(p, r)
-        points = index.ambient_points
-        parities.add(points % 2)
-        # ONE, x (not palindromic), and palindromes of odd degree, so that
-        # degree * points takes both parities, and of even degree
-        for figure in ([1], [0, 1], [1, 1], [2, 5, 5, 2], [3, 0, 1, 0, 3], [1, 0, 1]):
-            assert substitute(index, IntPolynomial(figure)) == _naive_substitute(index, figure)
-        assert substitute(index, IntPolynomial((0, 1))) == IntPolynomial([0] * points + [1])
-        assert substitute(index, IntPolynomial()) == IntPolynomial()
+    for p in range(1, 8):
+        for r in range(1, p + 1):
+            index = cycle_index_subset_action(p, r)
+            parities.add(index.ambient_points % 2)
+            assert substitute(index) == _naive_substitute(index, (1, 1))
     assert parities == {0, 1}
-    # no points at all: the one term is the empty product, whatever the figure
-    empty = CycleIndex({Partition(()): 1}, 1, 0)
-    assert substitute(empty, IntPolynomial()) == ONE
-    assert substitute(empty, ONE_PLUS_X) == ONE
-
-
-@pytest.mark.parametrize("figure", [(1, -1, 1), (-1,), (2, -3), (0, -1)])
-def test_substitute_rejects_negative_coefficients(figure):
-    with pytest.raises(ValueError):
-        substitute(cycle_index_subset_action(4, 2), IntPolynomial(figure))
+    # no points at all: the one term is the empty product
+    assert substitute(CycleIndex({Partition(()): 1}, 1, 0)) == ONE
 
 
 def test_inexact_division_raises(monkeypatch):
@@ -165,7 +125,7 @@ def test_inexact_division_raises(monkeypatch):
     with pytest.raises(ArithmeticError):
         plex_polynomial(2, 1)
     with pytest.raises(ArithmeticError):
-        substitute(bad, ONE_PLUS_X)
+        substitute(bad)
     # plex_count(3, 1) sums 2 * 2^1 + 3 * 2^2 + 1 * 2^3 = 24 over the classes
     # {3: 1}, {1: 1, 2: 1} and {1: 3}; one identity too many makes it 32,
     # not a multiple of 3! = 6
@@ -213,21 +173,14 @@ def test_polynomial_evaluation():
 
 
 def test_polynomial_equality_hash():
-    assert IntPolynomial((1, 1)) == ONE_PLUS_X
-    assert len({IntPolynomial((1, 1)), ONE_PLUS_X, ONE}) == 2
+    assert IntPolynomial((1, 1)) == IntPolynomial((1, 1, 0))
+    assert len({IntPolynomial((1, 1)), IntPolynomial((1, 1, 0)), ONE}) == 2
 
 
 def test_substitute_examples():
-    assert substitute(cycle_index_subset_action(2, 2), ONE_PLUS_X) == ONE_PLUS_X
-    assert substitute(cycle_index_subset_action(3, 2), ONE_PLUS_X).coeffs == (1, 1, 1, 1)
-    assert substitute(cycle_index_subset_action(4, 2),
-                      ONE_PLUS_X).coeffs == (1, 1, 2, 3, 2, 1, 1)
-
-
-def test_substitute_constant_one_normalizes():
-    for p in range(1, 11):
-        for r in range(1, p + 1):
-            assert substitute(cycle_index_subset_action(p, r), ONE) == ONE
+    assert substitute(cycle_index_subset_action(2, 2)).coeffs == (1, 1)
+    assert substitute(cycle_index_subset_action(3, 2)).coeffs == (1, 1, 1, 1)
+    assert substitute(cycle_index_subset_action(4, 2)).coeffs == (1, 1, 2, 3, 2, 1, 1)
 
 
 def test_plex_polynomial_examples():

@@ -33,8 +33,11 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 # (name, file, exact old text, new text)
 MUTANTS = (
     ("packed width one byte narrow", "src/plexcount/counting.py",
-     "power_width = _slot_width(at_one ** mult)",
-     "power_width = max(1, _slot_width(at_one ** mult) - 1)"),
+     "power_width = _slot_width(1 << mult)",
+     "power_width = max(1, _slot_width(1 << mult) - 1)"),
+    ("half-slot count one short", "src/plexcount/counting.py",
+     "slots = degree // 2 + 1",
+     "slots = degree // 2"),
     ("packed multiply width from max, not sum", "src/plexcount/counting.py",
      "width = _slot_width(sum(a) * sum(b))",
      "width = _slot_width(max(a) * max(b))"),

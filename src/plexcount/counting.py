@@ -10,8 +10,9 @@ partition of p by its class size times 2 to the number of cycles its
 permutations induce on (n+1)-subsets, a number Burnside's lemma gives
 from fixed-subset counts (cycle_index._cycle_count).  It reads them from a
 cycle_index._PowerTables made for that call and dropped on return, which
-packs all of a partition's short-cycle profiles into one int.  The
-partitions are streamed, so the walk holds one at a time.
+packs the profile indices of all of a partition's powers into one int.
+Class sizes divide one p! per call.  The partitions are streamed, so the
+walk holds one at a time.
 
 All polynomial products here are Kronecker substitutions: coefficients go
 into fixed-width byte slots of one big integer, so a product is one
@@ -29,7 +30,7 @@ from math import factorial
 from typing import Iterable
 
 from .cycle_index import CycleIndex, _cycle_count, _PowerTables, cycle_index_subset_action
-from .partitions import partitions_of, permutation_count
+from .partitions import partitions_of
 
 
 class IntPolynomial:
@@ -217,23 +218,33 @@ def plex_count(p: int, n: int) -> int:
     in an n-plex or wholly out, so a permutation fixes 2**c n-plexes, c its
     number of induced cycles, and by Burnside's lemma the total is
     (1/p!) sum_j |C_j| * 2**c(j) over the partitions j of p, |C_j| the size
-    of the conjugacy class.  c(j) comes from the fixed (n+1)-subset counts of
-    the powers of j (see cycle_index._cycle_count), so no induced cycle type
-    or cycle index is built; one cycle_index._PowerTables, which packs every
-    power's short-cycle profile into one int per partition, serves all the
-    partitions and lives for this call only.  The total must agree with
-    plex_polynomial(p, n) at x = 1, and a remainder in the division by p!
-    raises ArithmeticError.
+    of the conjugacy class: p! / prod_k k**m_k * m_k! for multiplicities m_k,
+    as partitions.permutation_count has it, but with p! computed once and
+    each factor k**m * m! once per (k, m) pair, for this call only.  c(j)
+    comes from the fixed (n+1)-subset counts of the powers of j (see
+    cycle_index._cycle_count), so no induced cycle type or cycle index is
+    built; one cycle_index._PowerTables, which packs every power's profile
+    index into one int per partition, serves all the partitions and lives
+    for this call only.  The total must agree with plex_polynomial(p, n) at
+    x = 1, and a remainder in the division by p! raises ArithmeticError.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     if p < n + 1:
         return 1
     tables = _PowerTables(p, n + 1)
+    group_order = factorial(p)
+    centralizers: dict[tuple[int, int], int] = {}
     doubled = 0
     for base in partitions_of(p):
-        doubled += permutation_count(base) << _cycle_count(base, tables)
-    group_order = factorial(p)
+        centralizer = 1
+        for part in base:
+            factor = centralizers.get(part)
+            if factor is None:
+                size, mult = part
+                factor = centralizers[part] = size**mult * factorial(mult)
+            centralizer *= factor
+        doubled += group_order // centralizer << _cycle_count(base, tables)
     quotient, remainder = divmod(doubled, group_order)
     if remainder:
         raise ArithmeticError(

@@ -15,18 +15,24 @@ type.
 
 Both read their fixed counts from one _PowerTables, made for one (p, r) per
 call and dropped on return.  A power's fixed count depends only on its
-short-cycle profile: the number of its cycles of each length l <= r, since
-a longer cycle lies in no fixed r-subset.  The e-th power turns each
-k-cycle into g = gcd(e, k) cycles of length k / g, so the profiles of all
-the powers are linear in the base's multiplicities.  For an order L and a
-part size k, one int, a row, holds g in byte slot (i, k / g) for the i-th
-divisor e of L whenever k / g <= r, and a base with multiplicities m_k has
-every divisor's profile packed in sum_k m_k * row(L, k).  No slot exceeds
-p, so slots (p.bit_length() + 7) // 8 bytes wide never carry.  That int's
-bytes, cut per divisor, key a table of fixed counts, each filled on its
-first lookup from the partitions of r, which are walked once per call.  The
-rows, and each order's divisors with their Euler phis, are kept for the
-call too, so most partitions look every count up instead of recounting it.
+short-cycle profile: the number a_l of its cycles of each length l <= r,
+since a longer cycle lies in no fixed r-subset.  A profile is keyed by its
+mixed-radix index sum_l a_l * radix[l], with radix[1] = 1 and radix[l + 1]
+= radix[l] * (p // l + 1): a_l <= p // l, so every profile of p points has
+its own index, below top = radix[r + 1].  The e-th power turns each k-cycle
+into g = gcd(e, k) cycles of length k / g, so the indices of all the powers
+are linear in the base's multiplicities.  For an order L and a part size k,
+one int, a row, holds g * radix[k / g] in lane i, for the i-th divisor e of
+L, whenever k / g <= r, and a base with multiplicities m_k has every
+divisor's index packed in sum_k m_k * row(L, k).  A lane is the narrowest
+native unsigned width that holds top, so none carries, and one memoryview
+reads every lane of the packed int's bytes in C.  Where top passes 64 bits
+(first at p = 38, r = 37) an index spans several 64-bit lanes, and the
+tuple of its words is its key.  The indices key a table of fixed counts,
+each filled on its first lookup from the partitions of r, which are walked
+once per call.  The rows, and each order's divisors with their Euler phis,
+are kept for the call too, so most partitions look every count up instead
+of recounting it.
 The partitions of p are streamed from partitions_of, not stored.  No table,
 partition or result is kept between calls, so a repeated (p, r) walks again.
 fixed_subset_count and partitions.power_cycle_type are the definitions the
@@ -40,8 +46,11 @@ instead of rounding.
 
 from __future__ import annotations
 
+import sys
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 from operator import mul
+from struct import calcsize
 from typing import Iterator
 
 from .partitions import Partition, partitions_of, permutation_count
@@ -144,26 +153,46 @@ def _divisor_totients(n: int) -> list[tuple[int, int]]:
     return [(e, phi_of[n // e]) for e in sorted(phi_of)]
 
 
+# native unsigned lane formats, narrowest first, by size in bytes; an index
+# wider than the last spans several of its words
+_LANES = tuple((calcsize(fmt), fmt) for fmt in "BHIQ")
+_WORD_BITS = 8 * _LANES[-1][0]
+# to_bytes in native order puts the last divisor's lane first on a big-endian machine
+_LANE_STEP = 1 if sys.byteorder == "little" else -1
+
+
 class _FixedCounts(dict):
     """Fixed r-subset count of each short-cycle profile, filled on first lookup.
 
-    A key is a profile's bytes: slot l - 1, ``width`` bytes little-endian,
-    holds the number of l-cycles for l = 1..r, which alone determine the
-    count.  The partitions of r are walked once, when the table is made.
+    A key is a profile's mixed-radix index (see the module docstring), whose
+    digit in base p // l + 1 is the number of l-cycles for l = 1..r, which
+    alone determine the count; an index that spans several 64-bit lanes is
+    keyed by the tuple of its words, least significant first.  The
+    partitions of r are walked once, when the table is made.
     """
 
-    __slots__ = ("width", "subs")
+    __slots__ = ("bases", "subs")
 
-    def __init__(self, r: int, width: int):
+    def __init__(self, p: int, r: int):
         super().__init__()
-        self.width = width
+        self.bases = tuple(p // length + 1 for length in range(1, r + 1))
         self.subs = tuple(partitions_of(r))
 
-    def __missing__(self, profile: bytes) -> int:
-        w = self.width
+    def profile(self, key: int | tuple[int, ...]) -> list[int]:
+        """[0, a_1, ..., a_r]: the number of l-cycles a key holds, by length l."""
+        if type(key) is tuple:
+            index = 0
+            for word in reversed(key):
+                index = index << _WORD_BITS | word
+            key = index
         short = [0]
-        short.extend(int.from_bytes(profile[i:i + w], "little")
-                     for i in range(0, len(profile), w))
+        for base in self.bases:
+            key, count = divmod(key, base)
+            short.append(count)
+        return short
+
+    def __missing__(self, key: int | tuple[int, ...]) -> int:
+        short = self.profile(key)
         fixed = 0
         for sub in self.subs:
             ways = 1
@@ -172,30 +201,40 @@ class _FixedCounts(dict):
                 if not ways:
                     break
             fixed += ways
-        self[profile] = fixed
+        self[key] = fixed
         return fixed
 
 
 class _PowerTables:
     """The tables one call's walks share, for cycle types of p points at one r.
 
-    ``orders`` maps each base order L met to its divisors in increasing
-    order, their phi(L / e), one slice of packed profile bytes per divisor,
-    and its rows by part size (see the module docstring); ``fixed`` is the
-    _FixedCounts of the profiles met.  ValueError unless 1 <= r <= p.
+    ``radix`` holds the profile index's place values radix[1..r] (radix[0]
+    is unused) and radix[r + 1], the bound every index stays below.  Each
+    divisor's index fills ``words`` lanes of memoryview format ``lane``, the
+    narrowest native unsigned width that holds that bound; ``words`` is 1
+    unless the bound passes 64 bits.  ``orders`` maps each base order
+    L met to its divisors in increasing order, their phi(L / e), the byte
+    length of their packed lanes, and its rows by part size (see the module
+    docstring); ``fixed`` is the _FixedCounts of the profiles met.
+    ValueError unless 1 <= r <= p.
     """
 
-    __slots__ = ("r", "points", "width", "fixed", "orders")
+    __slots__ = ("r", "points", "radix", "lane", "words", "span", "fixed", "orders")
 
     def __init__(self, p: int, r: int):
         if not 1 <= r <= p:
             raise ValueError(f"need 1 <= r <= {p}, got r={r}")
         self.r = r
         self.points = comb(p, r)
-        self.width = (p.bit_length() + 7) // 8
-        self.fixed = _FixedCounts(r, self.width)
+        self.fixed = _FixedCounts(p, r)
+        self.radix = (0, *accumulate(self.fixed.bases, mul, initial=1))
+        top = self.radix[-1]
+        size, self.lane = next((lane for lane in _LANES if top <= 1 << 8 * lane[0]),
+                               _LANES[-1])
+        self.words = -(-(top - 1).bit_length() // (8 * size))
+        self.span = size * self.words
         self.orders: dict[int, tuple[tuple[int, ...], tuple[int, ...],
-                                     tuple[slice, ...], dict[int, int]]] = {}
+                                     int, dict[int, int]]] = {}
 
     def powers(self, base: Partition
                ) -> tuple[int, tuple[int, ...], tuple[int, ...], Iterator[int]]:
@@ -211,28 +250,28 @@ class _PowerTables:
         entry = self.orders.get(order)
         if entry is None:
             divisors, phis = zip(*_divisor_totients(order))
-            span = self.r * self.width
-            slices = tuple(slice(i * span, (i + 1) * span) for i in range(len(divisors)))
-            entry = self.orders[order] = divisors, phis, slices, {}
-        divisors, phis, slices, rows = entry
+            entry = self.orders[order] = divisors, phis, len(divisors) * self.span, {}
+        divisors, phis, length, rows = entry
         packed = 0
         for size, count in base:
             row = rows.get(size)
             if row is None:
                 row = rows[size] = self._row(divisors, size)
             packed += count * row
-        profiles = packed.to_bytes(slices[-1].stop, "little")
-        return order, divisors, phis, map(self.fixed.__getitem__,
-                                          map(profiles.__getitem__, slices))
+        profiles = packed.to_bytes(length, sys.byteorder)
+        lanes = memoryview(profiles).cast(self.lane)[::_LANE_STEP]
+        if self.words > 1:
+            lanes = zip(*[iter(lanes)] * self.words)
+        return order, divisors, phis, map(self.fixed.__getitem__, lanes)
 
     def _row(self, divisors: tuple[int, ...], size: int) -> int:
-        """The packed short cycles that one size-cycle gives each divisor's power."""
-        r, bits = self.r, 8 * self.width
+        """The packed profile indices that one size-cycle adds to each divisor's power."""
+        r, radix, bits = self.r, self.radix, 8 * self.span
         row = 0
         for i, e in enumerate(divisors):
             g = gcd(e, size)
             if size <= r * g:
-                row += g << bits * (i * r + size // g - 1)
+                row += g * radix[size // g] << bits * i
         return row
 
 

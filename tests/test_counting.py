@@ -1,6 +1,6 @@
 """Polynomial arithmetic, substitution, and counting results."""
 
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plexcount import counting
 from plexcount.counting import ONE, IntPolynomial, plex_count, plex_polynomial, substitute
-from plexcount.cycle_index import CycleIndex, cycle_index_subset_action
+from plexcount.cycle_index import CycleIndex, cycle_index_subset_action, subset_action_terms
 from plexcount.partitions import Partition, permutation_count
 
 # totals for 1 <= p <= 9, 1 <= n <= 3, frozen reference values
@@ -127,10 +127,12 @@ def test_inexact_division_raises(monkeypatch):
     with pytest.raises(ArithmeticError):
         substitute(bad)
     # plex_count(3, 1) sums 2 * 2^1 + 3 * 2^2 + 1 * 2^3 = 24 over the classes
-    # {3: 1}, {1: 1, 2: 1} and {1: 3}; one identity too many makes it 32,
-    # not a multiple of 3! = 6
-    monkeypatch.setattr(counting, "permutation_count",
-                        lambda j: permutation_count(j) + (j == Partition({1: 3})))
+    # {3: 1}, {1: 1, 2: 1} and {1: 3}; one cycle too many for the identity
+    # makes its term 2^4 and the total 32, not a multiple of 3! = 6
+    cycle_count = counting._cycle_count
+    identity = Partition({1: 3})
+    monkeypatch.setattr(counting, "_cycle_count",
+                        lambda j, tables: cycle_count(j, tables) + (j == identity))
     with pytest.raises(ArithmeticError, match="orbit total 32 is not divisible by group order 6"):
         plex_count(3, 1)
 
@@ -216,6 +218,15 @@ def test_plex_polynomial_rejects_bad_arguments():
 def test_plex_count_known_values():
     for (p, n), expected in KNOWN_COUNTS.items():
         assert plex_count(p, n) == expected
+
+
+def test_plex_count_equals_class_size_sum():
+    # plex_count's class sizes, from one p! per call, against permutation_count,
+    # and its Burnside cycle counts against the inverted induced cycle types
+    for p, n in ((24, 1), (20, 2), (16, 4)):
+        total = sum(permutation_count(j) << induced.num_parts()
+                    for j, induced, _ in subset_action_terms(p, n + 1))
+        assert plex_count(p, n) * factorial(p) == total
 
 
 def test_plex_count_coincidence_7():

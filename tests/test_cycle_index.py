@@ -3,8 +3,10 @@
 import importlib
 import pkgutil
 from collections import Counter
-from itertools import accumulate, combinations, permutations, repeat
+from itertools import accumulate, combinations, count, permutations
 from math import comb, factorial, gcd, lcm
+from operator import mul
+from struct import calcsize
 
 import pytest
 from hypothesis import given, settings
@@ -194,8 +196,9 @@ def test_inversion_guard_on_negative_multiple(monkeypatch):
 
 
 def test_profile_slots_wider_than_a_byte():
-    # from p = 256 on, a short-cycle count can exceed 255, so each profile
-    # slot takes two bytes; one byte would carry into the next slot
+    # from p = 256 on, a short-cycle count alone can exceed 255, and the
+    # profile indices at these (p, r) need 'H' and 'I' lanes; a lane of
+    # one byte would carry into the next divisor's
     for sizes, r in (({1: 300, 2: 3}, 2), ({1: 260, 3: 2, 6: 1}, 3)):
         base = Partition(sizes)
         assert base.ambient >= 256
@@ -205,11 +208,57 @@ def test_profile_slots_wider_than_a_byte():
         assert cycle_index._cycle_count(base, tables) == reference.num_parts()
 
 
+def short_profiles(p, r):
+    """Every [0, a_1, ..., a_r] with sum_l l * a_l <= p: the short cycles p points can have."""
+    profiles = [[0]]
+    for length in range(1, r + 1):
+        profiles = [short + [mult] for short in profiles
+                    for mult in range((p - sum(map(mul, short, count()))) // length + 1)]
+    return profiles
+
+
+def test_profile_index_is_distinct_and_decodes():
+    # each profile's mixed-radix index is its own, below the bound the lanes
+    # are sized for, and the fixed-count table reads the profile back from it
+    for p in range(1, 31):
+        for r in range(1, min(p, 5) + 1):
+            tables = cycle_index._PowerTables(p, r)
+            top = tables.radix[r + 1]
+            width = calcsize(tables.lane)
+            assert top <= 1 << 8 * width and (width == 1 or top > 1 << 4 * width)
+            assert tables.words == 1
+            seen = set()
+            for short in short_profiles(p, r):
+                index = sum(map(mul, short, tables.radix))
+                assert index < top and index not in seen
+                seen.add(index)
+                assert tables.fixed.profile(index) == short
+
+
+def test_profile_index_wider_than_64_bits():
+    # at p = 39, r = 37 the bound on an index takes 66 bits, so each divisor's
+    # index spans two 64-bit lanes, keyed by the tuple of its words; a 37-cycle
+    # and a 2-cycle or two fixed points have an index past 2**64 itself
+    p, r = 39, 37
+    tables = cycle_index._PowerTables(p, r)
+    assert (tables.lane, tables.words) == ("Q", 2)
+    for sizes in ({1: 2, 37: 1}, {2: 1, 37: 1}, {1: 39}, {3: 13}, {1: 1, 2: 1, 6: 6}):
+        base = Partition(sizes)
+        assert base.ambient == p
+        reference = reference_induced_cycle_type(base, r)
+        assert cycle_index._induced_walk(base, tables) == reference
+        assert cycle_index._cycle_count(base, tables) == reference.num_parts()
+    assert any(high for _, high in tables.fixed)
+
+
 def test_divisor_totients_match_brute_force():
-    # phi(n) counted as the k in 1..n coprime to n; divisors by sieving
+    # phi(n) by Euler's sieve over the primes; divisors by sieving
     limit = 5000
-    phi = [0] + [list(map(gcd, range(1, n + 1), repeat(n))).count(1)
-                 for n in range(1, limit + 1)]
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # no smaller prime divides q
+            for multiple in range(q, limit + 1, q):
+                phi[multiple] -= phi[multiple] // q
     divisors = [[] for _ in range(limit + 1)]
     for d in range(1, limit + 1):
         for multiple in range(d, limit + 1, d):

@@ -58,9 +58,15 @@ MUTANTS = (
     ("inversion point-cover guard", "src/plexcount/cycle_index.py",
      "    if covered != points:\n        raise",
      "    if False:\n        raise"),
-    ("profile slot width fixed at one byte", "src/plexcount/cycle_index.py",
-     "self.width = (p.bit_length() + 7) // 8",
-     "self.width = 1"),
+    ("profile index radix one short, so indices collide", "src/plexcount/cycle_index.py",
+     "self.bases = tuple(p // length + 1 for length in range(1, r + 1))",
+     "self.bases = tuple(p // length for length in range(1, r + 1))"),
+    ("profile index lane one size too narrow", "src/plexcount/cycle_index.py",
+     "if top <= 1 << 8 * lane[0]",
+     "if top <= 1 << 16 * lane[0]"),
+    ("class-size factor k**m * m! without the m!", "src/plexcount/counting.py",
+     "size**mult * factorial(mult)",
+     "size**mult * mult"),
     ("replacement weight check", "src/plexcount/verify.py",
      "if surplus_weight != notes_weight:",
      "if False:"),

@@ -12,7 +12,7 @@ oracles and bundled reference data.
 from .counting import ONE, IntPolynomial, plex_count, plex_polynomial, substitute
 from .cycle_index import (CycleIndex, cycle_index_subset_action, induced_cycle_type,
                           subset_action_terms)
-from .golden import GoldenData, fixture_path, load_golden
+from .golden import GoldenData, load_golden
 from .oracle import burnside_polynomial, exhaustive_plex_histogram
 from .partitions import Partition, partitions_of, permutation_count
 from .verify import CheckResult, run_scope
@@ -29,7 +29,6 @@ __all__ = [
     "burnside_polynomial",
     "cycle_index_subset_action",
     "exhaustive_plex_histogram",
-    "fixture_path",
     "induced_cycle_type",
     "load_golden",
     "partitions_of",

@@ -29,7 +29,8 @@ import sys
 
 from .counting import plex_count, plex_polynomial
 from .cycle_index import cycle_index_subset_action, subset_action_terms
-from .render import _decimal, render_latex, render_plain, render_structured
+from .golden import _decimal
+from .render import render_latex, render_plain, render_structured
 from .verify import SCOPES, run_scope
 
 DEFAULT_LIMIT = 12
@@ -38,7 +39,7 @@ DEFAULT_LIMIT = 12
 def positive_int(text: str) -> int:
     """argparse type of every integer option: ASCII decimal digits, value >= 1.
 
-    It reads digits as render._decimal does, so a sign, whitespace, an
+    It reads digits as golden._decimal does, so a sign, whitespace, an
     underscore or a non-ASCII digit is invalid; a leading minus is read only
     to report the value as below 1.
     """

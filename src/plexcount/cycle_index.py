@@ -355,11 +355,10 @@ def subset_action_terms(p: int, r: int) -> tuple[tuple[Partition, Partition, int
     p, in partitions_of order.  Distinct base partitions can induce the same
     cycle type; this form keeps them apart so each term stays auditable.
     All the partitions' divisor walks share one _PowerTables, made for this
-    call and dropped on return.  Nothing is cached: each call walks every
-    partition again and returns a new tuple.
+    call and dropped on return; making them raises ValueError unless
+    1 <= r <= p.  Nothing is cached: each call walks every partition again
+    and returns a new tuple.
     """
-    if not 1 <= r <= p:
-        raise ValueError(f"need 1 <= r <= p, got p={p}, r={r}")
     tables = _PowerTables(p, r)
     return tuple((j, _induced_walk(j, tables), permutation_count(j))
                  for j in partitions_of(p))

@@ -4,8 +4,9 @@ The fixture freezes previously published values: a table of plex counts, six
 fully expanded cycle indices, the unmerged eleven-term display of Z(S_6^(3)),
 and one known misprint in the published Z(S_8^(4)).  Loading requires the
 ``plexcount.golden/1`` format tag and every field's JSON type (ints for p, n
-and r, ASCII decimal strings for counts and coefficients, read by render's
-typed field, decimal and monomial readers) and at most one entry per key
+and r, ASCII decimal strings for counts, coefficients and monomial sizes,
+read by the typed field, decimal and monomial readers below, the only code
+in the package that reads JSON) and at most one entry per key
 in counts, formulas and unmerged_formulas, then validates the data's
 internal consistency (term degrees, weight sums, the C(7,2) = C(7,3)
 coincidence, a formula for every unmerged display and known discrepancy),
@@ -21,7 +22,6 @@ from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from .partitions import Partition
-from .render import _decimal, _field, _monomial
 
 FORMAT = "plexcount.golden/1"
 Formula = dict[Partition, int]
@@ -38,6 +38,33 @@ class GoldenData(NamedTuple):
 def fixture_path():
     """Filesystem path of the bundled reference data file."""
     return resources.files("plexcount").joinpath("data", "golden.json")
+
+
+def _field(record: object, key: str, kind: type):
+    """``record[key]`` of a parsed JSON object; ValueError unless present with this type."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {record!r}")
+    value = record.get(key)
+    if type(value) is not kind:
+        raise ValueError(f"expected {key!r} of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _decimal(text: str) -> int:
+    """A decimal string of ASCII digits as an int; ValueError for anything else.
+
+    Plain ``int`` would also take signs, whitespace, underscores and non-ASCII
+    digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a decimal string of ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _monomial(record: object) -> Partition:
+    """``record["monomial"]``, a ``{"size": mult}`` map, as a Partition (ValueError if bad)."""
+    raw = _field(record, "monomial", dict)
+    return Partition({_decimal(size): mult for size, mult in raw.items()})
 
 
 def _key(entry: object, second: str) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Text renderings of cycle indices and a parseable structured format.
+"""Text renderings of cycle indices: plain, LaTeX and structured JSON.
 
 Three formats, each with one renderer:
 
@@ -8,16 +8,14 @@ Three formats, each with one renderer:
   expression with ``a_1^{20}`` style monomials.
 * structured (render_structured): line-delimited JSON with every weight as a
   decimal string, one header object followed by one object per term.
-  parse_structured inverts render_structured exactly.
 
 Each renderer reads rows of ``(source, monomial, weight)``.  By default the
 rows are the merged terms, with no source, in decreasing-lexicographic order
 of their exponent vectors (the a_1-heavy terms first), so output is
 byte-stable.  Given ``unmerged=subset_action_terms(p, r)``, the rows keep one
 term per partition of p, in the partitions_of order, and every term is
-labelled with its source partition.  The JSON reading of typed fields, of
-strict decimal strings and of the ``{"size": mult}`` monomial map lives here
-too; the golden loader shares it.
+labelled with its source partition.  The module only writes; nothing in the
+package reads these formats back.
 """
 
 from __future__ import annotations
@@ -139,55 +137,3 @@ def render_structured(index: CycleIndex, p: int, r: int,
             record["source"] = _monomial_record(source)
         lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines)
-
-
-def _field(record: object, key: str, kind: type):
-    """``record[key]`` of a parsed JSON object; ValueError unless present with this type."""
-    if not isinstance(record, dict):
-        raise ValueError(f"expected a JSON object, got {record!r}")
-    value = record.get(key)
-    if type(value) is not kind:
-        raise ValueError(f"expected {key!r} of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _decimal(text: str) -> int:
-    """A decimal string of ASCII digits as an int; ValueError for anything else.
-
-    Plain ``int`` would also take signs, whitespace, underscores and non-ASCII
-    digits.
-    """
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"expected a decimal string of ASCII digits, got {text!r}")
-    return int(text)
-
-
-def _monomial(record: object) -> Partition:
-    """``record["monomial"]``, a ``{"size": mult}`` map, as a Partition (ValueError if bad)."""
-    raw = _field(record, "monomial", dict)
-    return Partition({_decimal(size): mult for size, mult in raw.items()})
-
-
-def parse_structured(text: str) -> CycleIndex:
-    """Rebuild a CycleIndex from render_structured output (merging duplicates).
-
-    The document comes from outside the program, so anything malformed raises
-    ValueError.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty structured document")
-    header = json.loads(lines[0])
-    kind = _field(header, "kind", str)
-    if kind != "cycle-index":
-        raise ValueError(f"unexpected document kind {kind!r}")
-    expected = _field(header, "terms", int)
-    if len(lines) - 1 != expected:
-        raise ValueError(f"header promises {expected} terms, found {len(lines) - 1}")
-    terms: dict[Partition, int] = {}
-    for line in lines[1:]:
-        record = json.loads(line)
-        monomial = _monomial(record)
-        terms[monomial] = terms.get(monomial, 0) + _decimal(_field(record, "weight", str))
-    return CycleIndex(terms, group_order=_decimal(_field(header, "group_order", str)),
-                      ambient_points=_field(header, "points", int))

@@ -12,7 +12,9 @@ from plexcount.counting import plex_count
 from plexcount.cycle_index import CycleIndex, cycle_index_subset_action, subset_action_terms
 from plexcount.golden import load_golden
 from plexcount.partitions import partitions_of, permutation_count
-from plexcount.render import parse_structured, render_latex, render_plain
+from plexcount.render import render_latex, render_plain
+
+from test_render import read_structured
 
 
 def run(capsys, *argv):
@@ -99,14 +101,14 @@ def test_cycle_index_json_like_roundtrip(capsys):
     code, out = run(capsys, "cycle-index", "--p", "7", "--r", "3",
                     "--format", "json-like")
     assert code == 0
-    assert parse_structured(out) == cycle_index_subset_action(7, 3)
+    assert read_structured(out) == cycle_index_subset_action(7, 3)
 
 
 def test_cycle_index_unmerged_json_like_merges_back(capsys):
     code, out = run(capsys, "cycle-index", "--p", "6", "--r", "3",
                     "--format", "json-like", "--unmerged")
     assert code == 0
-    assert parse_structured(out) == cycle_index_subset_action(6, 3)
+    assert read_structured(out) == cycle_index_subset_action(6, 3)
     assert out.count("\"source\"") == 11
 
 
@@ -114,7 +116,7 @@ def test_cycle_index_r1_matches_symmetric_group(capsys):
     _, out = run(capsys, "cycle-index", "--p", "5", "--r", "1",
                  "--format", "json-like")
     symmetric = {j: permutation_count(j) for j in partitions_of(5)}
-    assert parse_structured(out) == CycleIndex(symmetric, 120, 5)
+    assert read_structured(out) == CycleIndex(symmetric, 120, 5)
 
 
 def test_cycle_index_complement_same_terms(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from plexcount.cycle_index import subset_action_terms
 from plexcount import golden
-from plexcount.golden import fixture_path, load_golden
+from plexcount.golden import _decimal, fixture_path, load_golden
 from plexcount.oracle import cycle_type_of, induce_on_subsets, representative_of
 from plexcount.partitions import Partition
 
@@ -74,6 +74,14 @@ def test_unmerged_duplicates_come_from_distinct_partitions():
         found = {base for base, got_induced, got_weight in terms
                  if got_induced == induced and got_weight == weight}
         assert found == sources
+
+
+def test_decimal_strings_are_ascii_digits_only():
+    assert _decimal("0") == 0
+    assert _decimal("720") == 720
+    for bad in (" +0_6 ", "0_3", "-1", "", "\u0661\u0662"):
+        with pytest.raises(ValueError):
+            _decimal(bad)
 
 
 def test_loader_rejects_non_integer_exponents(monkeypatch, tmp_path):
@@ -154,6 +162,24 @@ def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_pa
     def unmerged_off_formula(raw):
         raw["unmerged_formulas"][0]["terms"][0]["coeff"] = "2"
 
+    def term_not_an_object(raw):
+        raw["formulas"][0]["terms"][0] = [1]
+
+    def term_without_monomial(raw):
+        del raw["formulas"][0]["terms"][0]["monomial"]
+
+    def size_key(text):
+        def corrupt(raw):
+            term = raw["formulas"][0]["terms"][0]
+            assert term["monomial"] == {"1": 20}
+            term["monomial"] = {text: 20}
+        return corrupt
+
+    def exponent(value):
+        def corrupt(raw):
+            raw["formulas"][0]["terms"][0]["monomial"] = {"1": value}
+        return corrupt
+
     def missing_count(n):
         def corrupt(raw):
             raw["counts"] = [e for e in raw["counts"] if (e["p"], e["n"]) != (7, n)]
@@ -164,6 +190,13 @@ def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_pa
     for corrupt, message in (
             (float_count, None), (bool_coeff, None), (other_format, None),
             (loose_count, None), (signed_coeff, None), (non_ascii_coeff, None),
+            (term_not_an_object, r"expected a JSON object, got \[1\]"),
+            (term_without_monomial, r"expected 'monomial' of type dict, got None"),
+            (size_key(" 1"), r"ASCII digits, got ' 1'"),
+            (size_key("+1"), r"ASCII digits, got '\+1'"),
+            (size_key("\u0661"), r"ASCII digits, got '\u0661'"),
+            (exponent(True), r"parts must be int, got 1: True"),
+            (exponent("20"), r"parts must be int, got 1: '20'"),
             (wrong_count_first, r"counts has more than one entry for p=4, n=1$"),
             (wrong_count_last, r"counts has more than one entry for p=4, n=1$"),
             (repeated_formula, r"formulas has more than one entry for p=6, r=3$"),

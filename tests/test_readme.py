@@ -29,8 +29,8 @@ def test_readme_library_example_and_public_names():
     assert plexcount.__all__ == [
         "CheckResult", "CycleIndex", "GoldenData", "IntPolynomial", "ONE",
         "Partition", "burnside_polynomial", "cycle_index_subset_action",
-        "exhaustive_plex_histogram", "fixture_path", "induced_cycle_type", "load_golden",
-        "partitions_of", "permutation_count", "plex_count", "plex_polynomial", "run_scope",
+        "exhaustive_plex_histogram", "induced_cycle_type", "load_golden", "partitions_of",
+        "permutation_count", "plex_count", "plex_polynomial", "run_scope",
         "subset_action_terms", "substitute",
     ]
     for name in plexcount.__all__:

@@ -1,14 +1,12 @@
 """Plain, LaTeX, and structured renderings of cycle indices."""
 
 import json
+from collections import Counter
 
-import pytest
-
-from plexcount.cycle_index import cycle_index_subset_action, subset_action_terms
+from plexcount.cycle_index import CycleIndex, cycle_index_subset_action, subset_action_terms
 from plexcount.partitions import Partition
-from plexcount.render import (_decimal, monomial_latex, monomial_plain, ordered_terms,
-                              parse_structured, render_latex, render_plain,
-                              render_structured)
+from plexcount.render import (monomial_latex, monomial_plain, ordered_terms, render_latex,
+                              render_plain, render_structured)
 
 LATEX_6_3 = ("\\frac{1}{720}\\left("
              "a_1^{20} + 15 a_1^8 a_2^6 + 45 a_1^4 a_2^8 + 80 a_1^2 a_3^6"
@@ -28,6 +26,17 @@ LATEX_4_2_UNMERGED = ("\\frac{1}{24}\\bigl(\n"
                       "  + 6 a_1^2 a_2^2 % from 2+1+1\n"
                       "  + a_1^6 % from 1+1+1+1\n"
                       "\\bigr)")
+
+
+def read_structured(text):
+    """The CycleIndex a render_structured document gives, weights summed per monomial."""
+    header, *records = map(json.loads, text.splitlines())
+    assert header["kind"] == "cycle-index" and header["terms"] == len(records)
+    terms = Counter()
+    for record in records:
+        terms[Partition({int(size): mult
+                         for size, mult in record["monomial"].items()})] += int(record["weight"])
+    return CycleIndex(dict(terms), int(header["group_order"]), header["points"])
 
 
 def test_monomial_plain():
@@ -106,7 +115,7 @@ def test_structured_roundtrip():
     for p in range(1, 10):
         for r in range(1, p + 1):
             z = cycle_index_subset_action(p, r)
-            assert parse_structured(render_structured(z, p, r)) == z
+            assert read_structured(render_structured(z, p, r)) == z
 
 
 def test_structured_roundtrip_unmerged():
@@ -114,7 +123,7 @@ def test_structured_roundtrip_unmerged():
         for r in range(1, p + 1):
             z = cycle_index_subset_action(p, r)
             text = render_structured(z, p, r, unmerged=subset_action_terms(p, r))
-            assert parse_structured(text) == z
+            assert read_structured(text) == z
 
 
 def test_structured_header_and_weights_are_strings():
@@ -127,6 +136,9 @@ def test_structured_header_and_weights_are_strings():
         record = json.loads(line)
         assert isinstance(record["weight"], str)
         assert all(isinstance(v, int) for v in record["monomial"].values())
+    header, *terms = render_structured(cycle_index_subset_action(3, 1), 3, 1).splitlines()
+    assert json.loads(header)["group_order"] == "6"
+    assert json.loads(terms[0]) == {"monomial": {"1": 3}, "weight": "1"}
 
 
 def test_structured_unmerged_carries_sources():
@@ -138,57 +150,6 @@ def test_structured_unmerged_carries_sources():
     sources = [record["source"] for record in records[1:]]
     assert sources[0] == {"6": 1}
     assert sources[-1] == {"1": 6}
-
-
-def test_parse_structured_rejects_bad_documents():
-    z = cycle_index_subset_action(4, 2)
-    good = render_structured(z, 4, 2)
-    with pytest.raises(ValueError):
-        parse_structured("")
-    with pytest.raises(ValueError):
-        parse_structured(good.replace("cycle-index", "other-kind"))
-    with pytest.raises(ValueError):
-        parse_structured("\n".join(good.splitlines()[:-1]))
-    header, first, *rest = good.splitlines()
-    no_group_order = {key: value for key, value in json.loads(header).items()
-                      if key != "group_order"}
-    record = json.loads(first)
-    del record["monomial"]
-    empty = {"kind": "cycle-index", "terms": 0, "group_order": "0"}
-    for bad in ("[]", "\n".join([json.dumps(no_group_order), first, *rest]),
-                json.dumps({**empty, "points": -3}), json.dumps({**empty, "points": 4}),
-                "\n".join([header, "[1]", *rest]),
-                "\n".join([header, json.dumps(record), *rest])):
-        with pytest.raises(ValueError):
-            parse_structured(bad)
-
-
-def test_parse_structured_rejects_non_integer_exponents():
-    header, *terms = render_structured(cycle_index_subset_action(3, 1), 3, 1).splitlines()
-    record = json.loads(terms[0])
-    assert record["monomial"] == {"1": 3}
-    for bad in (3.0, True, "3"):
-        record["monomial"] = {"1": bad}
-        with pytest.raises(ValueError):
-            parse_structured("\n".join([header, json.dumps(record), *terms[1:]]))
-
-
-def test_decimal_strings_are_ascii_digits_only():
-    assert _decimal("0") == 0
-    assert _decimal("720") == 720
-    header, *terms = render_structured(cycle_index_subset_action(3, 1), 3, 1).splitlines()
-    assert json.loads(header)["group_order"] == "6"
-    assert json.loads(terms[0]) == {"monomial": {"1": 3}, "weight": "1"}
-    for bad in (" +0_6 ", "0_3", "-1", "", "\u0661\u0662"):
-        with pytest.raises(ValueError):
-            _decimal(bad)
-        edited_header = json.dumps({**json.loads(header), "group_order": bad})
-        edited_weight = json.dumps({"monomial": {"1": 3}, "weight": bad})
-        edited_size = json.dumps({"monomial": {bad: 3}, "weight": "1"})
-        for document in ([edited_header, *terms], [header, edited_weight, *terms[1:]],
-                         [header, edited_size, *terms[1:]]):
-            with pytest.raises(ValueError):
-                parse_structured("\n".join(document))
 
 
 def test_rendering_deterministic():

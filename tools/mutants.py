@@ -52,6 +52,9 @@ MUTANTS = (
     ("cycle count orbit-sum guard", "src/plexcount/cycle_index.py",
      "    if remainder:\n        raise ArithmeticError(\n            f\"orbit sum",
      "    if False:\n        raise ArithmeticError(\n            f\"orbit sum"),
+    ("_PowerTables r range", "src/plexcount/cycle_index.py",
+     "if not 1 <= r <= p:",
+     "if False:"),
     ("inversion guard on a negative multiple", "src/plexcount/cycle_index.py",
      "if leftover or quotient < 0:",
      "if leftover:"),
@@ -85,7 +88,7 @@ MUTANTS = (
     ("strict CLI integer reader", "src/plexcount/cli.py",
      "value = -_decimal(text[1:]) if text.startswith(\"-\") else _decimal(text)",
      "value = int(text)"),
-    ("strict decimal strings, ASCII only", "src/plexcount/render.py",
+    ("strict decimal strings, ASCII only", "src/plexcount/golden.py",
      "if not (text.isascii() and text.isdigit()):",
      "if not text.isdigit():"),
     ("Partition int parts", "src/plexcount/partitions.py",

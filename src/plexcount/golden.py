@@ -6,7 +6,8 @@ and one known misprint in the published Z(S_8^(4)).  Loading requires the
 ``plexcount.golden/1`` format tag and every field's JSON type (ints for p, n
 and r, ASCII decimal strings for counts, coefficients and monomial sizes,
 read by the typed field, decimal and monomial readers below, the only code
-in the package that reads JSON) and at most one entry per key
+in the package that reads JSON; the optional unmerged_formulas and
+known_discrepancies must be lists when present) and at most one entry per key
 in counts, formulas and unmerged_formulas, then validates the data's
 internal consistency (term degrees, weight sums, the C(7,2) = C(7,3)
 coincidence, a formula for every unmerged display and known discrepancy),
@@ -48,6 +49,11 @@ def _field(record: object, key: str, kind: type):
     if type(value) is not kind:
         raise ValueError(f"expected {key!r} of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _optional_list(record: dict, key: str) -> list:
+    """``record[key]`` if present, which must then be a list; else an empty list."""
+    return _field(record, key, list) if key in record else []
 
 
 def _decimal(text: str) -> int:
@@ -147,10 +153,10 @@ def load_golden() -> GoldenData:
     counts = _one_per_key(_field(raw, "counts", list), "counts", "n",
                           lambda entry: _decimal(_field(entry, "count", str)))
     formulas = _one_per_key(_field(raw, "formulas", list), "formulas", "r", _parse_formula)
-    unmerged = _one_per_key(raw.get("unmerged_formulas", []), "unmerged_formulas", "r",
+    unmerged = _one_per_key(_optional_list(raw, "unmerged_formulas"), "unmerged_formulas", "r",
                             lambda entry: tuple(_parse_terms(entry)))
     discrepancies: dict[tuple[int, int], list] = {}
-    for entry in raw.get("known_discrepancies", []):
+    for entry in _optional_list(raw, "known_discrepancies"):
         discrepancies.setdefault(_key(entry, "r"), []).append(
             _parse_term(_field(entry, "term", dict)))
     frozen = {key: tuple(value) for key, value in discrepancies.items()}

@@ -17,7 +17,7 @@ from plexcount import cycle_index
 from plexcount.counting import plex_count, plex_polynomial
 from plexcount.cycle_index import (CycleIndex, cycle_index_subset_action, fixed_subset_count,
                                    induced_cycle_type, subset_action_terms)
-from plexcount.oracle import colex_subsets
+from plexcount.oracle import _subset_masks
 from plexcount.partitions import Partition, partitions_of, permutation_count, power_cycle_type
 
 # merged Z(S_6^(3)), frozen from the published nine-term display
@@ -393,10 +393,10 @@ def test_caches_are_bounded():
                for info in pkgutil.iter_modules(plexcount.__path__)]
     cached = {value for module in modules for value in vars(module).values()
               if hasattr(value, "cache_info")}
-    assert cached == {colex_subsets}
+    assert cached == {_subset_masks}
     # one entry: every caller asks for one (p, r) many times in a row
-    assert colex_subsets.cache_info().maxsize == 1
-    assert type(colex_subsets(4, 2)) is tuple
+    assert _subset_masks.cache_info().maxsize == 1
+    assert type(_subset_masks(4, 2)) is tuple
 
 
 def test_edited_cycle_index_changes_no_later_result():

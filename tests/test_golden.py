@@ -180,6 +180,11 @@ def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_pa
             raw["formulas"][0]["terms"][0]["monomial"] = {"1": value}
         return corrupt
 
+    def section(key, value):
+        def corrupt(raw):
+            raw[key] = value
+        return corrupt
+
     def missing_count(n):
         def corrupt(raw):
             raw["counts"] = [e for e in raw["counts"] if (e["p"], e["n"]) != (7, n)]
@@ -197,6 +202,14 @@ def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_pa
             (size_key("\u0661"), r"ASCII digits, got '\u0661'"),
             (exponent(True), r"parts must be int, got 1: True"),
             (exponent("20"), r"parts must be int, got 1: '20'"),
+            (section("unmerged_formulas", 5),
+             r"expected 'unmerged_formulas' of type list, got 5$"),
+            (section("unmerged_formulas", "ab"),
+             r"expected 'unmerged_formulas' of type list, got 'ab'$"),
+            (section("known_discrepancies", 5),
+             r"expected 'known_discrepancies' of type list, got 5$"),
+            (section("known_discrepancies", "ab"),
+             r"expected 'known_discrepancies' of type list, got 'ab'$"),
             (wrong_count_first, r"counts has more than one entry for p=4, n=1$"),
             (wrong_count_last, r"counts has more than one entry for p=4, n=1$"),
             (repeated_formula, r"formulas has more than one entry for p=6, r=3$"),
@@ -217,3 +230,14 @@ def test_loader_rejects_non_string_numbers_and_other_formats(monkeypatch, tmp_pa
         corrupted.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             load_golden()
+
+
+def test_loader_takes_an_absent_unmerged_section_as_empty(monkeypatch, tmp_path):
+    raw = json.loads(fixture_path().read_text(encoding="utf-8"))
+    del raw["unmerged_formulas"]
+    corrupted = tmp_path / "golden.json"
+    corrupted.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setattr(golden, "fixture_path", lambda: corrupted)
+    data = load_golden()
+    assert data.unmerged_formulas == {}
+    assert set(data.formulas) == {(6, 3), (7, 3), (8, 3), (9, 3), (8, 4), (9, 4)}

@@ -1,14 +1,15 @@
 """Explicit-permutation oracles and exhaustive orbit counting."""
 
+import random
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from plexcount.counting import plex_count, plex_polynomial
+from plexcount.counting import IntPolynomial, plex_count, plex_polynomial
 from plexcount.oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
                               colex_subsets, induce_on_subsets, representative_of)
-from plexcount.partitions import Partition, partitions_of
+from plexcount.partitions import Partition, partitions_of, permutation_count
 from plexcount.verify import _check_burnside, _check_exhaustive
 
 
@@ -66,6 +67,20 @@ def test_induce_4_cycle_on_pairs():
     assert cycle_type_of(induced) == Partition({2: 1, 4: 1})
 
 
+def test_induce_on_subsets_matches_definition_past_two_bytes():
+    # map each element, sort, find the rank: p = 17..20 reaches a third byte table
+    rng = random.Random(20)
+    for p in range(1, 21):
+        for r in sorted({1, 2, 3, p - 1, p} & set(range(1, p + 1))):
+            subsets = colex_subsets(p, r)
+            rank = {subset: t for t, subset in enumerate(subsets)}
+            for _ in range(3):
+                perm = tuple(rng.sample(range(p), p))
+                expected = tuple(rank[tuple(sorted(perm[i] for i in subset))]
+                                 for subset in subsets)
+                assert induce_on_subsets(perm, r) == expected, (perm, r)
+
+
 def test_induce_validation():
     with pytest.raises(ValueError):
         induce_on_subsets((0, 0, 1), 2)
@@ -98,6 +113,29 @@ def test_burnside_polynomial_examples():
         burnside_polynomial(3, 4)
     with pytest.raises(ValueError):
         burnside_polynomial(3, 0)
+
+
+def reference_burnside_polynomial(p, r):
+    # one list slot per coefficient, multiplied by (1 + x**length) slot by slot
+    total = [0] * (comb(p, r) + 1)
+    for base in partitions_of(p):
+        induced = induce_on_subsets(representative_of(base), r)
+        term = [1]
+        for length in cycle_type_of(induced).to_sizes():
+            shifted = term + [0] * length
+            for i, c in enumerate(term):
+                shifted[i + length] += c
+            term = shifted
+        weight = permutation_count(base)
+        for i, c in enumerate(term):
+            total[i] += weight * c
+    return IntPolynomial(total).exact_div(factorial(p))
+
+
+def test_burnside_polynomial_matches_list_reference():
+    for p in range(1, 9):
+        for r in range(1, p + 1):
+            assert burnside_polynomial(p, r) == reference_burnside_polynomial(p, r), (p, r)
 
 
 def test_burnside_polynomial_matches_substitution():

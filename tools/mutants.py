@@ -124,6 +124,9 @@ MUTANTS = (
     ("CycleIndex weight sum", "src/plexcount/cycle_index.py",
      "if sum(terms.values()) != group_order:",
      "if False:"),
+    ("golden optional sections are lists", "src/plexcount/golden.py",
+     "return _field(record, key, list) if key in record else []",
+     "return record.get(key, [])"),
     ("golden one entry per key", "src/plexcount/golden.py",
      "if key in parsed:",
      "if False:"),
@@ -169,6 +172,15 @@ MUTANTS = (
     ("p-cycle generator", "src/plexcount/oracle.py",
      "tuple(range(1, p)) + (0,)",
      "tuple(range(p))"),
+    ("Burnside slot without its p! bits", "src/plexcount/oracle.py",
+     "slot = degree + 1 + order.bit_length()",
+     "slot = degree + 1"),
+    ("byte-table shift one bit short", "src/plexcount/oracle.py",
+     "mask >>= 8",
+     "mask >>= 7"),
+    ("orbit sweep resumes one mask late", "src/plexcount/oracle.py",
+     "start = seen.find(0, start + 1)",
+     "start = seen.find(0, start + 2)"),
 )
 
 

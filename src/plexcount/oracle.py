@@ -33,23 +33,27 @@ fixed, and this shares no packing code with ``counting.substitute``.
 
 The exhaustive orbit counter walks the orbits of S_p on bitmasks through the
 two mask maps induced by the generators (0 1 ... p-1) and (0 1), in pure
-Python on one thread.  Its sweep gets each next unseen start mask from
+Python on one thread.  Neither map is stored whole: each generator's induced
+permutation on the C = C(p, r) subset bits is split at half = ceil(C / 2),
+into one table of the images of the masks of the low half bits and one of
+the high, and a mask's image is ``lo[mask & low] | hi[mask >> half]``.  Both
+generators share one split of the mask per state.  A call therefore holds
+4 * 2**ceil(C / 2) table entries plus one seen-flag byte for each of the
+2**C masks.  Its sweep gets each next unseen start mask from
 ``bytearray.find`` on the seen flags instead of testing every mask in Python.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import TypeVar
+from types import MappingProxyType
 
 from .counting import IntPolynomial
 from .partitions import Partition, partitions_of, permutation_count
 
 ExplicitPermutation = tuple[int, ...]
-MaskImages = TypeVar("MaskImages", list, array)
 
 
 def colex_subsets(p: int, r: int) -> tuple[tuple[int, ...], ...]:
@@ -64,10 +68,13 @@ def colex_subsets(p: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1)
-def _subset_masks(p: int, r: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The colex r-subsets of 0..p-1 as point bitmasks, and each mask's rank."""
+def _subset_masks(p: int, r: int) -> tuple[tuple[int, ...], MappingProxyType[int, int]]:
+    """The colex r-subsets of 0..p-1 as point bitmasks, and each mask's rank.
+
+    Every caller shares the cached value, so the ranks are a read-only view.
+    """
     masks = tuple(sum(1 << i for i in subset) for subset in colex_subsets(p, r))
-    return masks, {mask: rank for rank, mask in enumerate(masks)}
+    return masks, MappingProxyType({mask: rank for rank, mask in enumerate(masks)})
 
 
 def representative_of(cycle_type: Partition) -> ExplicitPermutation:
@@ -86,14 +93,15 @@ def representative_of(cycle_type: Partition) -> ExplicitPermutation:
     return tuple(image)
 
 
-def _mask_images(mapping: ExplicitPermutation, images: MaskImages) -> MaskImages:
-    """Image of every mask under the bit permutation ``mapping``, indexed by mask.
+def _mask_images(mapping: ExplicitPermutation) -> list[int]:
+    """Image of every mask under the bit map ``mapping``, indexed by mask.
 
-    ``images`` holds only the image of mask 0, which is 0: a list, or an
-    array where the table is large.  It is extended by doubling: once the
-    masks below ``1 << bit`` are mapped, the masks that add that bit map to
-    the same images plus ``1 << mapping[bit]``.
+    Bit i of a mask maps to bit ``mapping[i]``.  The table starts as the
+    image of mask 0, which is 0, and is extended by doubling: once the masks
+    below ``1 << bit`` are mapped, the masks that add that bit map to the
+    same images plus ``1 << mapping[bit]``.
     """
+    images = [0]
     for target in mapping:
         bit = 1 << target
         images.extend([image | bit for image in images])
@@ -106,7 +114,7 @@ def _byte_tables(perm: ExplicitPermutation) -> list[list[int]]:
     ``tables[k][b]`` is the mask of the images of the points 8k + i for the
     bits i set in b.
     """
-    return [_mask_images(perm[low:low + 8], [0]) for low in range(0, len(perm), 8)]
+    return [_mask_images(perm[low:low + 8]) for low in range(0, len(perm), 8)]
 
 
 def induce_on_subsets(perm: ExplicitPermutation, r: int) -> ExplicitPermutation:
@@ -194,12 +202,13 @@ def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
     Every subset of the (n+1)-subsets is treated as a bitmask.  S_p is
     generated by the p-cycle (0 1 ... p-1) and the transposition (0 1), so
     the orbits of S_p on masks are the connected components of the two mask
-    maps those generators induce.  Masks are swept in increasing order and a
-    walk from each unseen one marks its whole orbit, which is counted once
-    under its number of set bits; the next unseen mask is found with
-    ``bytearray.find``.  Two caps are checked: p <= 7, and at most
-    2^20 states, C(p, n+1) <= 20.  At p = 7 the state cap refuses n = 1..4
-    (21 or 35 subsets) and lets n = 5 and 6 run.
+    maps those generators induce.  Each map is read through two half-width
+    image tables, as the module docstring describes.  Masks are swept in
+    increasing order and a walk from each unseen one marks its whole orbit,
+    which is counted once under its number of set bits; the next unseen mask
+    is found with ``bytearray.find``.  Two caps are checked: p <= 7, and at
+    most 2^21 states, C(p, n+1) <= 21.  At p = 7 the state cap refuses
+    n = 2 and 3 (35 subsets) and lets n = 1 and 4 (21 subsets), 5 and 6 run.
     """
     if p < 1 or n < 1:
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
@@ -207,14 +216,17 @@ def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
         raise ValueError(f"exhaustive enumeration is capped at p <= 7, got p={p}")
     r = n + 1
     width = comb(p, r)
-    if width > 20:
-        raise ValueError(f"exhaustive enumeration is capped at 2^20 states, "
+    if width > 21:
+        raise ValueError(f"exhaustive enumeration is capped at 2^21 states, "
                          f"got C({p},{r}) = {width} subsets")
     if width == 0:
         return [1]  # no simplexes possible; only the empty plex
     generators = (tuple(range(1, p)) + (0,), (1, 0) + tuple(range(2, p)))
-    rotate, swap = (_mask_images(induce_on_subsets(perm, r), array("I", [0]))
-                    for perm in generators)
+    half = (width + 1) // 2
+    low = (1 << half) - 1
+    rotate, swap = (induce_on_subsets(perm, r) for perm in generators)
+    rotate_lo, swap_lo = _mask_images(rotate[:half]), _mask_images(swap[:half])
+    rotate_hi, swap_hi = _mask_images(rotate[half:]), _mask_images(swap[half:])
     seen = bytearray(1 << width)
     histogram = [0] * (width + 1)
     stack: list[int] = []
@@ -226,11 +238,12 @@ def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
         append(start)
         while stack:
             mask = pop()
-            image = rotate[mask]
+            lo, hi = mask & low, mask >> half
+            image = rotate_lo[lo] | rotate_hi[hi]
             if not seen[image]:
                 seen[image] = 1
                 append(image)
-            image = swap[mask]
+            image = swap_lo[lo] | swap_hi[hi]
             if not seen[image]:
                 seen[image] = 1
                 append(image)

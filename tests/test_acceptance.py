@@ -71,9 +71,12 @@ def criterion_4_burnside_oracle():
 
 
 def criterion_5_exhaustive_ground_truth():
-    # (6, 2), at 2^20 states, is the largest case the oracle allows
-    results = _oracle_family("exhaustive orbit histogram") + [_check_exhaustive(6, 2)]
-    return _all_passed(results, ["exhaustive orbit histogram p=5 n=2"])
+    # (7, 1), graphs on 7 points at 2^21 states, is the largest case the
+    # oracle allows
+    results = _oracle_family("exhaustive orbit histogram") + [
+        _check_exhaustive(6, 2), _check_exhaustive(7, 1)]
+    return _all_passed(results, ["exhaustive orbit histogram p=5 n=2",
+                                 "exhaustive orbit histogram p=7 n=1"])
 
 
 def criterion_6_structural_invariants():

@@ -7,6 +7,7 @@ from itertools import accumulate, combinations, count, permutations
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from struct import calcsize
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -386,9 +387,9 @@ def test_cycle_index_constructor_validation():
 
 
 def test_caches_are_bounded():
-    # every cache in the package, each bounded and holding only tuples; only
-    # what a workload reuses is cached, so partitions_of and
-    # subset_action_terms walk per call
+    # every cache in the package, each bounded and holding only tuples and
+    # read-only mappings; only what a workload reuses is cached, so
+    # partitions_of and subset_action_terms walk per call
     modules = [importlib.import_module(f"plexcount.{info.name}")
                for info in pkgutil.iter_modules(plexcount.__path__)]
     cached = {value for module in modules for value in vars(module).values()
@@ -396,7 +397,9 @@ def test_caches_are_bounded():
     assert cached == {_subset_masks}
     # one entry: every caller asks for one (p, r) many times in a row
     assert _subset_masks.cache_info().maxsize == 1
-    assert type(_subset_masks(4, 2)) is tuple
+    cached_value = _subset_masks(4, 2)
+    assert type(cached_value) is tuple
+    assert all(type(part) in (tuple, MappingProxyType) for part in cached_value)
 
 
 def test_edited_cycle_index_changes_no_later_result():

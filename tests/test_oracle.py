@@ -1,12 +1,14 @@
 """Explicit-permutation oracles and exhaustive orbit counting."""
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
 from plexcount.counting import IntPolynomial, plex_count, plex_polynomial
+from plexcount.golden import load_golden
 from plexcount.oracle import (burnside_polynomial, cycle_type_of, exhaustive_plex_histogram,
                               colex_subsets, induce_on_subsets, representative_of)
 from plexcount.partitions import Partition, partitions_of, permutation_count
@@ -169,9 +171,23 @@ def test_exhaustive_empty_state_space():
 
 def test_exhaustive_guards():
     # (8, 6) has C(8, 7) = 8 states, so only the p <= 7 cap refuses it; at
-    # p = 7 the 2^20-state cap refuses n = 1..4, from C(7, 2) = 21 subsets up
-    for p, n in ((8, 6), (7, 1), (7, 2), (7, 3), (7, 4), (0, 1), (4, 0)):
+    # p = 7 the 2^21-state cap refuses n = 2 and 3, with C(7, 3) = 35
+    # subsets, and lets n = 1 and 4 run at C(7, 2) = C(7, 5) = 21
+    for p, n in ((8, 6), (7, 2), (7, 3), (0, 1), (4, 0)):
         with pytest.raises(ValueError):
             exhaustive_plex_histogram(p, n)
+    assert sum(exhaustive_plex_histogram(7, 1)) == load_golden().counts[(7, 1)]
     for n in (5, 6):
         assert exhaustive_plex_histogram(7, n) == list(plex_polynomial(7, n).coeffs)
+
+
+def test_exhaustive_tables_stay_small():
+    # 256 KB is the size of two 2^15-entry maps of 4-byte entries: an oracle
+    # that stores each generator's mask map whole, at C(6, 2) = 15, exceeds it
+    tracemalloc.start()
+    try:
+        exhaustive_plex_histogram(6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

@@ -76,9 +76,12 @@ MUTANTS = (
     ("exhaustive p cap", "src/plexcount/oracle.py",
      "if p > 7:",
      "if p > 8:"),
-    ("exhaustive 2^20-state cap", "src/plexcount/oracle.py",
-     "if width > 20:",
-     "if width > 21:"),
+    ("2^21-state cap one too tight", "src/plexcount/oracle.py",
+     "if width > 21:",
+     "if width > 20:"),
+    ("low-half mask one bit short", "src/plexcount/oracle.py",
+     "low = (1 << half) - 1",
+     "low = (1 << half) - 2"),
     ("colex order", "src/plexcount/oracle.py",
      "key=lambda s: s[::-1]",
      "key=lambda s: s"),

@@ -40,7 +40,9 @@ the high, and a mask's image is ``lo[mask & low] | hi[mask >> half]``.  Both
 generators share one split of the mask per state.  A call therefore holds
 4 * 2**ceil(C / 2) table entries plus one seen-flag byte for each of the
 2**C masks.  Its sweep gets each next unseen start mask from
-``bytearray.find`` on the seen flags instead of testing every mask in Python.
+``bytearray.find`` on the seen flags instead of testing every mask in Python,
+and walks each orbit in ``_mark_orbit``, called once per orbit, so that the
+walk is specialised by the interpreter from the first sweep of a process on.
 """
 
 from __future__ import annotations
@@ -229,23 +231,37 @@ def exhaustive_plex_histogram(p: int, n: int) -> list[int]:
     rotate_hi, swap_hi = _mask_images(rotate[half:]), _mask_images(swap[half:])
     seen = bytearray(1 << width)
     histogram = [0] * (width + 1)
-    stack: list[int] = []
-    pop, append = stack.pop, stack.append
     start = 0
     while start >= 0:
         seen[start] = 1
         histogram[start.bit_count()] += 1
-        append(start)
-        while stack:
-            mask = pop()
-            lo, hi = mask & low, mask >> half
-            image = rotate_lo[lo] | rotate_hi[hi]
-            if not seen[image]:
-                seen[image] = 1
-                append(image)
-            image = swap_lo[lo] | swap_hi[hi]
-            if not seen[image]:
-                seen[image] = 1
-                append(image)
+        _mark_orbit(start, seen, low, half, rotate_lo, rotate_hi, swap_lo, swap_hi)
         start = seen.find(0, start + 1)
     return histogram
+
+
+def _mark_orbit(start: int, seen: bytearray, low: int, half: int,
+                rotate_lo: list[int], rotate_hi: list[int],
+                swap_lo: list[int], swap_hi: list[int]) -> None:
+    """Set the seen flag of every mask in the orbit of ``start``.
+
+    ``start`` is already marked.  Each generator's image of a mask is
+    ``lo[mask & low] | hi[mask >> half]``.  The walk is a function of its
+    own, called once per orbit: CPython 3.11 specialises a function's
+    bytecode only after its eighth call, so a walk inlined in the sweep
+    would run unspecialised, and slower, in the first seven sweeps of a
+    process, and a sweep's time would depend on how many came before it.
+    """
+    stack = [start]
+    pop, append = stack.pop, stack.append
+    while stack:
+        mask = pop()
+        lo, hi = mask & low, mask >> half
+        image = rotate_lo[lo] | rotate_hi[hi]
+        if not seen[image]:
+            seen[image] = 1
+            append(image)
+        image = swap_lo[lo] | swap_hi[hi]
+        if not seen[image]:
+            seen[image] = 1
+            append(image)

@@ -16,17 +16,17 @@ walk holds one at a time.
 
 All polynomial products here are Kronecker substitutions: coefficients go
 into fixed-width byte slots of one big integer, so a product is one
-big-integer multiply or power.  One rule sets every slot width: a slot is
-wide enough when it holds the product's value at x = 1, which bounds every
-coefficient when none is negative.  substitute keeps each cycle-index term
-packed from first factor to last, widening its slots as factors come in,
-and since 1 + x is palindromic it computes only the lower half of every
-term and mirrors it (see substitute).
+big-integer multiply.  One rule sets every slot width: a slot is wide
+enough when it holds the product's value at x = 1, which bounds every
+coefficient when none is negative.  substitute packs each factor
+(1 + x^k)**m of a cycle-index term from its binomial coefficients, in the
+term's own slots, and since 1 + x is palindromic it computes only the
+lower half of every term and mirrors it (see substitute).
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 from typing import Iterable
 
 from .cycle_index import CycleIndex, _cycle_count, _PowerTables, cycle_index_subset_action
@@ -44,7 +44,7 @@ class IntPolynomial:
     product's value at x = 1, sum(a) * sum(b), needs.  So a product is a
     single big-integer multiply followed by unpacking.  That bound holds
     only for nonnegative coefficients, and a negative one raises
-    ValueError.  substitute does not go through it: it packs each term once
+    ValueError.  substitute does not go through it: it packs each factor
     and multiplies packed ints, with slot widths from the same rule.
     """
 
@@ -123,7 +123,7 @@ def _slot_width(bound: int) -> int:
     return max(1, (bound.bit_length() + 7) // 8)
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+def _pack(coeffs: Iterable[int], width: int) -> int:
     """Kronecker substitution: coefficient i fills bytes [i*width, (i+1)*width)."""
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
 
@@ -134,21 +134,18 @@ def _unpack(packed: int, width: int, length: int) -> list[int]:
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
-def _repack(packed: int, width: int, new_width: int, step: int, slots: int) -> int:
-    """Move the low ``slots`` slots of ``packed`` to slot i * step of ``new_width`` bytes.
+def _repack(packed: int, width: int, new_width: int, slots: int) -> int:
+    """Move the ``slots`` slots of ``packed`` into slots of ``new_width`` bytes.
 
-    That substitutes x**step for x on the packed form, into slots at least
-    as wide; slots from ``slots`` on are dropped.  It costs one strided byte
-    copy per byte of the old width, however many slots there are.
+    The new slots must be at least as wide.  It costs one strided byte copy
+    per byte of the old width, however many slots there are.
     """
-    packed &= (1 << (8 * width * slots)) - 1
-    if new_width == width and step == 1:
+    if new_width == width:
         return packed
     data = packed.to_bytes(width * slots, "little")
-    out = bytearray(new_width * (step * (slots - 1) + 1))
-    stride = new_width * step
+    out = bytearray(new_width * slots)
     for j in range(width):
-        out[j::stride] = data[j::width]
+        out[j::new_width] = data[j::width]
     return int.from_bytes(out, "little")
 
 
@@ -163,18 +160,18 @@ def substitute(index: CycleIndex) -> IntPolynomial:
     coefficient by the group order.  For a genuine cycle index that division
     is exact; a remainder is an internal error and raises ArithmeticError.
 
-    Each term stays one packed integer from start to finish.  After factors
-    with P cycles in all, its slots are as wide as its value at x = 1, 2**P,
-    needs; (1 + x)**m is packed at the width of 2**m, raised to the power m, and moved to the wider slots and stretched by k in one
-    _repack.  Weighted terms are summed in slots as wide as the sum over
-    terms of w * 2**P, and unpacked once.
+    Each term is one packed integer in slots as wide as its value at x = 1,
+    2**P for P cycles, needs.  Each factor (1 + x^k)**m is packed directly
+    from its coefficients C(m, i), k slots apart, and multiplied in.  The
+    weighted terms are moved to slots as wide as the sum over terms of
+    w * 2**P, summed, and unpacked once.
 
     1 + x is palindromic, so every term is palindromic of degree N, the
-    number of points acted on: stretching and multiplying keep palindromes
-    palindromic, their degrees adding.  So only the slots up to the middle
-    one are kept, cut back after every product (a product's low slots depend
-    only on its operands' low slots), and the upper half is their mirror
-    image.
+    number of points acted on: each factor (1 + x^k)**m is a palindrome,
+    and multiplying keeps palindromes palindromic, their degrees adding.
+    So only the slots up to the middle one are kept, cut back after every
+    product (a product's low slots depend only on its operands' low slots),
+    and the upper half is their mirror image.
     """
     degree = index.ambient_points
     slots = degree // 2 + 1
@@ -182,18 +179,14 @@ def substitute(index: CycleIndex) -> IntPolynomial:
                             for cycle_type, weight in index.terms.items()))
     total = 0
     for cycle_type, weight in index.terms.items():
-        term, term_width, term_slots, parts = 1, 1, 1, 0
+        term_width = _slot_width(1 << cycle_type.num_parts())
+        cut = (1 << 8 * term_width * slots) - 1
+        term = 1
         for size, mult in cycle_type:
-            power_width = _slot_width(1 << mult)
-            power = ((1 << 8 * power_width) + 1) ** mult
-            parts += mult
-            new_width = _slot_width(1 << parts)
-            power_slots = min(mult, (slots - 1) // size) + 1
-            factor = _repack(power, power_width, new_width, size, power_slots)
-            term = _repack(term, term_width, new_width, 1, term_slots) * factor
-            term_width = new_width
-            term_slots = min(slots, term_slots + (power_slots - 1) * size)
-        total += weight * _repack(term, term_width, width, 1, term_slots)
+            top = min(mult, (slots - 1) // size)
+            term = term * _pack([comb(mult, i) for i in range(top + 1)],
+                                term_width * size) & cut
+        total += weight * _repack(term, term_width, width, slots)
     half = _unpack(total, width, slots)
     return IntPolynomial(half + half[:degree + 1 - slots][::-1]).exact_div(index.group_order)
 

@@ -29,15 +29,16 @@ native unsigned width that holds top, so none carries, and one memoryview
 reads every lane of the packed int's bytes in C.  Where top passes 64 bits
 (first at p = 38, r = 37) an index spans several 64-bit lanes, and the
 tuple of its words is its key.  The indices key a table of fixed counts,
-each filled on its first lookup from the partitions of r, which are walked
-once per call.  The rows, and each order's divisors with their Euler phis,
-are kept for the call too, so most partitions look every count up instead
-of recounting it.
+each filled on its first lookup as one coefficient of the profile's
+product prod_l (1 + t^l)**a_l, packed in one int (see _FixedCounts).  The
+rows, and each order's divisors with their Euler phis, are kept for the
+call too, so most partitions look every count up instead of recounting it.
 The partitions of p are streamed from partitions_of, not stored.  No table,
 partition or result is kept between calls, so a repeated (p, r) walks again.
-fixed_subset_count and partitions.power_cycle_type are the definitions the
-walk follows, kept in their modules (not the top-level namespace) as the
-reference the tests compare it against.
+fixed_subset_count, which walks the partitions of r, and
+partitions.power_cycle_type are the definitions the fill and the walk
+follow, kept in their modules (not the top-level namespace) as the
+reference the tests compare them against.
 
 Everything here is exact integer arithmetic.  Any division that comes out
 inexact, or any negative intermediate multiplicity, raises ArithmeticError
@@ -167,16 +168,19 @@ class _FixedCounts(dict):
     A key is a profile's mixed-radix index (see the module docstring), whose
     digit in base p // l + 1 is the number of l-cycles for l = 1..r, which
     alone determine the count; an index that spans several 64-bit lanes is
-    keyed by the tuple of its words, least significant first.  The
-    partitions of r are walked once, when the table is made.
+    keyed by the tuple of its words, least significant first.  The count is
+    the t^r coefficient of prod_l (1 + t^l)**a_l, whichever cycles a fixed
+    subset takes: each of the a_l l-cycles is in it or not.  The product is
+    one packed int with slots of sum_l a_l + 1 bits, since its coefficients
+    sum to 2**sum_l a_l, and the count is read from slot r.
     """
 
-    __slots__ = ("bases", "subs")
+    __slots__ = ("bases", "r")
 
     def __init__(self, p: int, r: int):
         super().__init__()
         self.bases = tuple(p // length + 1 for length in range(1, r + 1))
-        self.subs = tuple(partitions_of(r))
+        self.r = r
 
     def profile(self, key: int | tuple[int, ...]) -> list[int]:
         """[0, a_1, ..., a_r]: the number of l-cycles a key holds, by length l."""
@@ -193,15 +197,12 @@ class _FixedCounts(dict):
 
     def __missing__(self, key: int | tuple[int, ...]) -> int:
         short = self.profile(key)
-        fixed = 0
-        for sub in self.subs:
-            ways = 1
-            for length, needed in sub:
-                ways *= comb(short[length], needed)
-                if not ways:
-                    break
-            fixed += ways
-        self[key] = fixed
+        bits = sum(short) + 1
+        product = 1
+        for length, count in enumerate(short):
+            if count:
+                product *= ((1 << bits * length) + 1) ** count
+        fixed = self[key] = product >> bits * self.r & (1 << bits) - 1
         return fixed
 
 

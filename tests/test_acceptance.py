@@ -11,6 +11,7 @@ from math import comb, factorial
 from plexcount.counting import plex_count, plex_polynomial, substitute
 from plexcount.cycle_index import cycle_index_subset_action
 from plexcount.golden import load_golden
+from plexcount.oracle import exhaustive_plex_histogram
 from plexcount.verify import _check_exhaustive, check_counts, check_formulas, check_oracle
 
 GRAPH_COLUMN = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
@@ -71,12 +72,20 @@ def criterion_4_burnside_oracle():
 
 
 def criterion_5_exhaustive_ground_truth():
+    results = _oracle_family("exhaustive orbit histogram") + [_check_exhaustive(6, 2)]
+    passed, detail = _all_passed(results, ["exhaustive orbit histogram p=5 n=2",
+                                           "exhaustive orbit histogram p=6 n=2"])
+    if not passed:
+        return passed, detail
     # (7, 1), graphs on 7 points at 2^21 states, is the largest case the
-    # oracle allows
-    results = _oracle_family("exhaustive orbit histogram") + [
-        _check_exhaustive(6, 2), _check_exhaustive(7, 1)]
-    return _all_passed(results, ["exhaustive orbit histogram p=5 n=2",
-                                 "exhaustive orbit histogram p=7 n=1"])
+    # oracle allows; its one sweep is checked against the polynomial and
+    # against the reference count
+    histogram = exhaustive_plex_histogram(7, 1)
+    if histogram != list(plex_polynomial(7, 1).coeffs):
+        return False, f"exhaustive (7, 1) histogram {histogram}"
+    if sum(histogram) != load_golden().counts[(7, 1)]:
+        return False, f"exhaustive (7, 1) histogram sums to {sum(histogram)}"
+    return True, ""
 
 
 def criterion_6_structural_invariants():

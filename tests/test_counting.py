@@ -249,11 +249,13 @@ def test_plex_polynomial_palindromic():
 
 
 def test_plex_count_duality():
-    for p in range(1, 10):
-        for n in range(1, 4):
-            mirror = p - n - 2
-            if mirror >= 1:
-                assert plex_count(p, n) == plex_count(p, mirror)
+    # complementing maps r-subsets onto (p - r)-subsets and commutes with S_p,
+    # so n-plexes and (p - n - 2)-plexes are equinumerous; past p = 10 the
+    # mirror side's high-r fills are checked against low-r ones
+    cases = [(p, n) for p in range(1, 10) for n in range(1, 4) if p - n - 2 >= 1]
+    cases += [(p, r - 1) for p in range(11, 19) for r in range(2, (p + 1) // 2)]
+    for p, n in cases:
+        assert plex_count(p, n) == plex_count(p, p - n - 2)
 
 
 def test_graph_count_column():

@@ -158,16 +158,21 @@ def test_cycle_count_matches_induced_cycle_type_at_large_p(case):
     assert cycles == reference_induced_cycle_type(base, r).num_parts()
 
 
+def only_one_cycles(counts, key):
+    """An undercount for the guard tests: r-subsets of 1-cycles alone, no longer ones."""
+    return comb(counts.profile(key)[1], counts.r)
+
+
 def test_inversion_guards(monkeypatch):
-    # an induced cycle type must partition all C(p, r) subsets; with no
-    # partition of r to count, every fixed count is 0 and no cycle is found
-    monkeypatch.setattr(cycle_index, "partitions_of", lambda n: ())
+    # an induced cycle type must partition all C(p, r) subsets; with every
+    # fixed count read as 0, no cycle is found
+    monkeypatch.setattr(cycle_index._FixedCounts, "__missing__", lambda counts, key: 0)
     with pytest.raises(ArithmeticError, match="covers 0 of 3 points"):
         induced_cycle_type(Partition({3: 1}), 1)
     # counting only subsets of 1-cycles misses the pair that is the base's
     # 2-cycle, so m = 1 finds no fixed pair and the square's 3 fixed pairs
     # are left to cycles of length 2
-    monkeypatch.setattr(cycle_index, "partitions_of", lambda n: (Partition({1: n}),))
+    monkeypatch.setattr(cycle_index._FixedCounts, "__missing__", only_one_cycles)
     with pytest.raises(ArithmeticError, match="3 is not a nonnegative multiple of 2"):
         induced_cycle_type(Partition({1: 1, 2: 1}), 2)
 
@@ -175,7 +180,7 @@ def test_inversion_guards(monkeypatch):
 def test_cycle_count_guard_on_inexact_orbit_sum(monkeypatch):
     # the same undercount leaves the base {1: 1, 2: 1} at r = 2 with orbit
     # sum 0 + 3 over its powers, which its order 2 does not divide
-    monkeypatch.setattr(cycle_index, "partitions_of", lambda n: (Partition({1: n}),))
+    monkeypatch.setattr(cycle_index._FixedCounts, "__missing__", only_one_cycles)
     with pytest.raises(ArithmeticError, match="orbit sum 3 .* not divisible by its order 2"):
         cycle_index._cycle_count(Partition({1: 1, 2: 1}), cycle_index._PowerTables(3, 2))
     # plex_count(3, 1) reaches that base after {3: 1}, whose sum 0 + 3 divides by 3
@@ -250,6 +255,32 @@ def test_profile_index_wider_than_64_bits():
         assert cycle_index._induced_walk(base, tables) == reference
         assert cycle_index._cycle_count(base, tables) == reference.num_parts()
     assert any(high for _, high in tables.fixed)
+    assert_fills_match_reference(tables)
+
+
+def assert_fills_match_reference(tables):
+    """Each fixed count filled so far equals fixed_subset_count for its profile.
+
+    The cycle type gets one (r + 1)-cycle besides the profile's short cycles,
+    so that it has at least r points; a cycle that long lies in no fixed
+    r-subset.
+    """
+    r = tables.r
+    for key, fixed in tables.fixed.items():
+        sizes = {length: mult for length, mult in enumerate(tables.fixed.profile(key)) if mult}
+        sizes[r + 1] = 1
+        assert fixed == fixed_subset_count(Partition(sizes), r)
+
+
+def test_fixed_count_fill_matches_reference():
+    # each profile's fill, a coefficient of prod_l (1 + t^l)**a_l, against
+    # fixed_subset_count's walk over the partitions of r, at every r up to p
+    for p in range(1, 13):
+        for r in range(1, p + 1):
+            tables = cycle_index._PowerTables(p, r)
+            for short in short_profiles(p, r):
+                tables.fixed[sum(map(mul, short, tables.radix))]
+            assert_fills_match_reference(tables)
 
 
 def test_divisor_totients_match_brute_force():

@@ -32,9 +32,9 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 
 # (name, file, exact old text, new text)
 MUTANTS = (
-    ("packed width one byte narrow", "src/plexcount/counting.py",
-     "power_width = _slot_width(1 << mult)",
-     "power_width = max(1, _slot_width(1 << mult) - 1)"),
+    ("term slot width one byte narrow", "src/plexcount/counting.py",
+     "term_width = _slot_width(1 << cycle_type.num_parts())",
+     "term_width = max(1, _slot_width(1 << cycle_type.num_parts()) - 1)"),
     ("half-slot count one short", "src/plexcount/counting.py",
      "slots = degree // 2 + 1",
      "slots = degree // 2"),
@@ -64,6 +64,11 @@ MUTANTS = (
     ("profile index radix one short, so indices collide", "src/plexcount/cycle_index.py",
      "self.bases = tuple(p // length + 1 for length in range(1, r + 1))",
      "self.bases = tuple(p // length for length in range(1, r + 1))"),
+    # one bit narrower is still wide enough, since for sum a >= 1 every
+    # coefficient of prod_l (1 + t^l)**a_l is below 2**sum a, so take two
+    ("fixed-count fill slot two bits narrow", "src/plexcount/cycle_index.py",
+     "bits = sum(short) + 1",
+     "bits = sum(short) - 1"),
     ("profile index lane one size too narrow", "src/plexcount/cycle_index.py",
      "if top <= 1 << 8 * lane[0]",
      "if top <= 1 << 16 * lane[0]"),
